@@ -33,6 +33,10 @@
 // the hal.faults.* / core.fallback.* counters of the telemetry snapshot and
 // in the health section of the -json / -metrics-out documents.
 //
+// main builds one sink set (registry, flight recorder, calibration auditor,
+// observer) and hands it to every System through experiments.Config.Base;
+// the -json sections, the -…-out files and -mon all read that set back.
+//
 // Observability: -trace-out FILE writes the flight recorder's window as a
 // Chrome-trace JSON timeline (open in ui.perfetto.dev); -mon ADDR serves
 // /metrics, /health, /trace, /calibration and /debug/pprof while the run is
@@ -60,14 +64,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"doppiodb/cmd/internal/boot"
+	"doppiodb/internal/core"
 	"doppiodb/internal/doppiomon"
 	"doppiodb/internal/experiments"
 	"doppiodb/internal/explain"
-	"doppiodb/internal/faults"
 	"doppiodb/internal/flightrec"
 	"doppiodb/internal/hal"
 	"doppiodb/internal/obs"
@@ -117,36 +120,29 @@ func main() {
 		}
 		return
 	}
-	if *fspec != "" {
-		in, err := faults.NewFromSpec(*fspec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doppiobench: %v\n", err)
-			os.Exit(2)
-		}
-		faults.SetDefault(in)
-		fmt.Fprintf(os.Stderr, "doppiobench: fault injection active: %s\n", *fspec)
+	inj, err := boot.Faults(*fspec, "doppiobench: ")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doppiobench: %v\n", err)
+		os.Exit(2)
 	}
-	// Degrade dumps and SIGQUIT forensics go to stderr; the experiments all
-	// record into the process-wide default recorder.
-	rec := flightrec.Default()
-	rec.SetSink(os.Stderr)
-	sigq := make(chan os.Signal, 1)
-	signal.Notify(sigq, syscall.SIGQUIT)
-	go func() {
-		for range sigq {
-			fmt.Fprintln(os.Stderr, "doppiobench: SIGQUIT: flight-recorder window follows")
-			rec.WriteText(os.Stderr)
-		}
-	}()
-	if *monAddr != "" {
-		mon, err := doppiomon.Start(*monAddr, doppiomon.Config{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doppiobench: %v\n", err)
-			os.Exit(2)
-		}
-		defer mon.Close()
-		fmt.Fprintf(os.Stderr, "doppiobench: monitoring endpoint on http://%s\n", mon.Addr())
+	// The one sink set of the run: every System the experiments boot starts
+	// from it (soak brings its own), and everything below reads it back.
+	sinks := core.Options{
+		Telemetry: telemetry.NewRegistry(),
+		Recorder:  flightrec.New(0),
+		Auditor:   explain.NewAuditor(explain.Options{}),
+		Obs:       obs.New(obs.Options{}),
+		Faults:    inj,
 	}
+	cfg.Base = sinks
+	rec := sinks.Recorder
+	mon, err := boot.Observe("doppiobench", "doppiobench: ", *monAddr, doppiomon.Config{
+		Registry: sinks.Telemetry, Recorder: rec, Calibration: sinks.Auditor, Obs: sinks.Obs})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doppiobench: %v\n", err)
+		os.Exit(2)
+	}
+	defer mon.Close()
 
 	type exp struct {
 		name string
@@ -236,9 +232,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doppiobench: unknown experiment %q\n", *which)
 		os.Exit(2)
 	}
-	snap := telemetry.Default().Snapshot()
+	snap := sinks.Telemetry.Snapshot()
 	health := hal.SummaryFromMetrics(snap)
-	calib := explain.Default().Stats()
+	calib := sinks.Auditor.Stats()
 	doc := struct {
 		Experiments []namedResult       `json:"experiments"`
 		Build       telemetry.BuildInfo `json:"build"`
@@ -249,7 +245,7 @@ func main() {
 		QueryLog    obs.LogStats        `json:"querylog"`
 		Topdown     topdown.Summary     `json:"topdown"`
 	}{results, telemetry.Build(), snap, health, calib,
-		obs.Default().SLO.Report(), obs.Default().Log.Stats(),
+		sinks.Obs.SLO.Report(), sinks.Obs.Log.Stats(),
 		topdown.SummaryFromMetrics(snap)}
 	if doc.Experiments == nil {
 		doc.Experiments = []namedResult{}
@@ -269,7 +265,7 @@ func main() {
 			telemetry.Snapshot
 			Health hal.HealthCounters `json:"health"`
 		}{snap, health}
-		if err := writeJSONFile(*metOut, doc); err != nil {
+		if err := boot.WriteJSON(*metOut, doc); err != nil {
 			fmt.Fprintf(os.Stderr, "doppiobench: write metrics: %v\n", err)
 			os.Exit(1)
 		}
@@ -284,7 +280,7 @@ func main() {
 		doc.Topdown.WriteText(os.Stderr)
 	}
 	if *tdOut != "" {
-		if err := writeJSONFile(*tdOut, doc.Topdown); err != nil {
+		if err := boot.WriteJSON(*tdOut, doc.Topdown); err != nil {
 			fmt.Fprintf(os.Stderr, "doppiobench: write topdown summary: %v\n", err)
 			os.Exit(1)
 		}
@@ -295,11 +291,11 @@ func main() {
 		doc := struct {
 			explain.Report
 			Records []*explain.Record `json:"records"`
-		}{calib, explain.Default().Records(64)}
+		}{calib, sinks.Auditor.Records(64)}
 		if doc.Records == nil {
 			doc.Records = []*explain.Record{}
 		}
-		if err := writeJSONFile(*explOut, doc); err != nil {
+		if err := boot.WriteJSON(*explOut, doc); err != nil {
 			fmt.Fprintf(os.Stderr, "doppiobench: write calibration: %v\n", err)
 			os.Exit(1)
 		}
@@ -307,37 +303,23 @@ func main() {
 			*explOut, len(doc.Records))
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
+		if err := boot.WriteFile(*traceOut, func(w io.Writer) error {
+			return flightrec.WriteChromeTrace(w, rec.Window())
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "doppiobench: %v\n", err)
-			os.Exit(1)
-		}
-		err = flightrec.WriteChromeTrace(f, rec.Window())
-		if cErr := f.Close(); err == nil {
-			err = cErr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doppiobench: write trace: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "doppiobench: flight-recorder timeline written to %s (%d events, %d dropped; open in ui.perfetto.dev)\n",
 			*traceOut, rec.Len(), rec.Dropped())
 	}
 	if *qlogOut != "" {
-		f, err := os.Create(*qlogOut)
-		if err != nil {
+		if err := boot.WriteFile(*qlogOut, func(w io.Writer) error {
+			return sinks.Obs.Log.WriteJSONL(w, 0)
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "doppiobench: %v\n", err)
 			os.Exit(1)
 		}
-		err = obs.Default().Log.WriteJSONL(f, 0)
-		if cErr := f.Close(); err == nil {
-			err = cErr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doppiobench: write query log: %v\n", err)
-			os.Exit(1)
-		}
-		st := obs.Default().Log.Stats()
+		st := sinks.Obs.Log.Stats()
 		fmt.Fprintf(os.Stderr, "doppiobench: query log written to %s (%d events retained of %d submitted)\n",
 			*qlogOut, st.Kept, st.Submitted)
 	}
@@ -363,7 +345,7 @@ func main() {
 			os.Exit(2)
 		}
 		if *baseRep != "" {
-			if err := writeJSONFile(*baseRep, report); err != nil {
+			if err := boot.WriteJSON(*baseRep, report); err != nil {
 				fmt.Fprintf(os.Stderr, "doppiobench: write baseline report: %v\n", err)
 				os.Exit(1)
 			}
@@ -374,21 +356,6 @@ func main() {
 			os.Exit(3)
 		}
 	}
-}
-
-// writeJSONFile writes v as indented JSON to path.
-func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(v)
-	if cErr := f.Close(); err == nil {
-		err = cErr
-	}
-	return err
 }
 
 // jsonMode switches render from text tables to result collection.

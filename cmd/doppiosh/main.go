@@ -45,17 +45,16 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"doppiodb/cmd/internal/boot"
 	"doppiodb/internal/core"
 	"doppiodb/internal/doppiomon"
 	"doppiodb/internal/explain"
-	"doppiodb/internal/faults"
 	"doppiodb/internal/flightrec"
 	"doppiodb/internal/mdb"
 	"doppiodb/internal/plan"
@@ -90,40 +89,22 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fspec != "" {
-		in, err := faults.NewFromSpec(*fspec)
-		fatal(err)
-		faults.SetDefault(in)
-		fmt.Fprintf(os.Stderr, "fault injection active: %s\n", *fspec)
-	}
-	sys, err := core.NewSystem(core.Options{RegionBytes: 2 << 30, SharedScans: *sharedScans})
+	inj, err := boot.Faults(*fspec, "")
+	fatal(err)
+	sys, err := core.NewSystem(core.Options{RegionBytes: 2 << 30, SharedScans: *sharedScans, Faults: inj})
 	fatal(err)
 	if *sharedScans {
 		fmt.Fprintln(os.Stderr, "shared-scan coalescing enabled")
 	}
-	// Black-box behaviour: when the fault layer degrades a query, the
-	// recorder window lands on stderr; SIGQUIT forces the same dump.
-	sys.Rec.SetSink(os.Stderr)
-	sigq := make(chan os.Signal, 1)
-	signal.Notify(sigq, syscall.SIGQUIT)
-	go func() {
-		for range sigq {
-			fmt.Fprintln(os.Stderr, "doppiosh: SIGQUIT: flight-recorder window follows")
-			sys.Rec.WriteText(os.Stderr)
-		}
-	}()
-	if *monAddr != "" {
-		mon, err := doppiomon.Start(*monAddr, doppiomon.Config{
-			Registry:    sys.Tel,
-			Recorder:    sys.Rec,
-			Health:      sys.HAL,
-			Calibration: sys.Audit,
-			Obs:         sys.Obs,
-		})
-		fatal(err)
-		defer mon.Close()
-		fmt.Fprintf(os.Stderr, "monitoring endpoint on http://%s\n", mon.Addr())
-	}
+	mon, err := boot.Observe("doppiosh", "", *monAddr, doppiomon.Config{
+		Registry:    sys.Tel,
+		Recorder:    sys.Rec,
+		Health:      sys.HAL,
+		Calibration: sys.Audit,
+		Obs:         sys.Obs,
+	})
+	fatal(err)
+	defer mon.Close()
 	if *rows > 0 {
 		data, hits := workload.NewGenerator(1, workload.DefaultStrLen).
 			Table(*rows, workload.HitQ2, *sel)
@@ -254,26 +235,14 @@ func dumpRecorder(rec *flightrec.Recorder, file string) {
 		rec.WriteText(os.Stdout)
 		return
 	}
-	f, err := os.Create(file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dump: %v\n", err)
-		return
-	}
-	if strings.HasSuffix(file, ".json") {
-		err = flightrec.WriteChromeTrace(f, rec.Window())
-	} else {
-		rec.WriteText(f)
-	}
-	if cErr := f.Close(); err == nil {
-		err = cErr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dump: %v\n", err)
-		return
-	}
-	kind := "text dump"
+	kind, write := "text dump", func(w io.Writer) error { rec.WriteText(w); return nil }
 	if strings.HasSuffix(file, ".json") {
 		kind = "Chrome-trace timeline (open in ui.perfetto.dev)"
+		write = func(w io.Writer) error { return flightrec.WriteChromeTrace(w, rec.Window()) }
+	}
+	if err := boot.WriteFile(file, write); err != nil {
+		fmt.Fprintf(os.Stderr, "dump: %v\n", err)
+		return
 	}
 	fmt.Fprintf(os.Stderr, "flight recorder: %d event(s) written to %s as %s\n", rec.Len(), file, kind)
 }

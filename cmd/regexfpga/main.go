@@ -16,11 +16,12 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"doppiodb/cmd/internal/boot"
 	"doppiodb/internal/config"
 	"doppiodb/internal/core"
 	"doppiodb/internal/flightrec"
@@ -138,35 +139,17 @@ func main() {
 			Conserved   bool                 `json:"conserved"`
 		}{Attribution: res.Topdown, Fabric: s.HAL.Topdown()}
 		doc.Conserved = doc.Fabric.Conserved()
-		f, err := os.Create(*tdOut)
-		fatal(err)
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(doc)
-		if cErr := f.Close(); err == nil {
-			err = cErr
-		}
-		fatal(err)
+		fatal(boot.WriteJSON(*tdOut, doc))
 		fmt.Fprintf(os.Stderr, "topdown report written to %s\n", *tdOut)
 	}
 	if *explOut != "" && res.Decision != nil {
-		f, err := os.Create(*explOut)
-		fatal(err)
-		err = res.Decision.WriteJSON(f)
-		if cErr := f.Close(); err == nil {
-			err = cErr
-		}
-		fatal(err)
+		fatal(boot.WriteFile(*explOut, res.Decision.WriteJSON))
 		fmt.Fprintf(os.Stderr, "decision record written to %s\n", *explOut)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fatal(err)
-		err = flightrec.WriteChromeTrace(f, s.Rec.Window(), res.Trace)
-		if cErr := f.Close(); err == nil {
-			err = cErr
-		}
-		fatal(err)
+		fatal(boot.WriteFile(*traceOut, func(w io.Writer) error {
+			return flightrec.WriteChromeTrace(w, s.Rec.Window(), res.Trace)
+		}))
 		fmt.Fprintf(os.Stderr, "timeline written to %s (%d events; open in ui.perfetto.dev)\n",
 			*traceOut, s.Rec.Len())
 	}

@@ -60,7 +60,10 @@ const (
 	PhaseRetry = "Retry backoff"
 )
 
-// Options configure a System.
+// Options configure a System. The four sinks (Telemetry, Recorder, Auditor,
+// Obs) are owned by the System: left nil, NewSystem creates a fresh private
+// instance, so two Systems share observability state only when the caller
+// hands both the same instance.
 type Options struct {
 	// Deployment overrides the default 4×16 device.
 	Deployment *fpga.Deployment
@@ -69,25 +72,23 @@ type Options struct {
 	RegionBytes uint64
 	// Model overrides the calibrated perf model.
 	Model *perf.Model
-	// Telemetry receives every layer's metrics. Nil selects the
-	// process-wide default registry.
+	// Telemetry receives every layer's metrics. Nil: a fresh registry.
 	Telemetry *telemetry.Registry
-	// Faults injects hardware faults into the HAL. Nil keeps the process
-	// default (faults.Default, configurable via DOPPIO_FAULTS); pass
+	// Faults injects hardware faults into the HAL. Nil keeps what the
+	// DOPPIO_FAULTS environment variable describes (faults.Default); pass
 	// faults.New(faults.Options{}) for an explicitly quiet injector.
 	Faults *faults.Injector
 	// Recorder is the flight recorder the HAL and the degrade path report
-	// into. Nil selects the process-wide default recorder.
+	// into. Nil: a fresh recorder of flightrec.DefaultCapacity.
 	Recorder *flightrec.Recorder
 	// Auditor receives every finished decision record for cost-model
-	// calibration. Nil selects the process-wide default auditor.
+	// calibration. Nil: a fresh auditor with default options.
 	Auditor *explain.Auditor
 	// Retry overrides the per-query hardware retry budget (nil selects
 	// DefaultRetryPolicy; &RetryPolicy{} disables query-level retry).
 	Retry *RetryPolicy
 	// Obs receives the wide query event every Exec emits at completion
-	// (query log + SLO engine). Nil selects the process-wide default
-	// observer.
+	// (query log + SLO engine). Nil: a fresh observer with default options.
 	Obs *obs.Observer
 	// SharedScans enables the multi-query shared-scan coalescer:
 	// concurrent queries over the same BAT with the same pattern merge
@@ -106,7 +107,7 @@ type System struct {
 	Model  perf.Model
 	// Tel is the registry every layer of this system reports into.
 	Tel *telemetry.Registry
-	// Rec is the always-on flight recorder shared with the HAL.
+	// Rec is the always-on flight recorder the HAL also records into.
 	Rec *flightrec.Recorder
 	// Audit is the calibration auditor every decision record feeds.
 	Audit *explain.Auditor
@@ -146,28 +147,30 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.Model != nil {
 		model = *opts.Model
 	}
-	tel := opts.Telemetry
+	tel, rec, aud, ob := opts.Telemetry, opts.Recorder, opts.Auditor, opts.Obs
 	if tel == nil {
-		tel = telemetry.Default()
+		tel = telemetry.NewRegistry()
 	}
+	if rec == nil {
+		rec = flightrec.New(0)
+	}
+	if aud == nil {
+		aud = explain.NewAuditor(explain.Options{})
+	}
+	if ob == nil {
+		ob = obs.New(obs.Options{})
+	}
+	// Bind every layer to the System's sinks: allocator gauges, HAL/engine
+	// counters and events, the column store's operator metrics, and the
+	// auditor's and observer's own gauges and alarms.
+	region.AttachTelemetry(tel)
+	h.SetTelemetry(tel)
+	h.SetRecorder(rec)
 	if opts.Faults != nil {
 		h.SetInjector(opts.Faults)
 	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec = flightrec.Default()
-	}
-	h.SetRecorder(rec)
-	aud := opts.Auditor
-	if aud == nil {
-		aud = explain.Default()
-	}
 	aud.SetTelemetry(tel)
 	aud.SetRecorder(rec)
-	ob := opts.Obs
-	if ob == nil {
-		ob = obs.Default()
-	}
 	ob.SetTelemetry(tel)
 	ob.SetRecorder(rec)
 	s := &System{
@@ -188,10 +191,6 @@ func NewSystem(opts Options) (*System, error) {
 	if opts.Retry != nil {
 		s.Retry = *opts.Retry
 	}
-	// Bind every layer to the same registry: allocator gauges, HAL/engine
-	// counters, and the operator metrics of the column store.
-	region.AttachTelemetry(tel)
-	h.SetTelemetry(tel)
 	s.DB.Tel = tel
 	// The HUDF is used together with sequential_pipe (§7.1): the
 	// dataflow parallelism of the default pipeline only adds overhead

@@ -13,8 +13,8 @@ import (
 	"doppiodb/internal/workload"
 )
 
-// newObservedSystem boots a system with a private observer so the test
-// reads its own wide events, not the process default's.
+// newObservedSystem boots a system with an observer that keeps every event
+// (SampleEvery 1), not one in sixteen.
 func newObservedSystem(t *testing.T) (*System, *obs.Observer) {
 	t.Helper()
 	o := obs.New(obs.Options{Log: obs.LogOptions{SampleEvery: 1}})
@@ -159,5 +159,44 @@ func TestObserveJSONLBitIdentical(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("wide-event JSONL differs across identical runs:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// Two Systems booted with no sinks in their Options own theirs: a hardware
+// query on one leaves the other's registry, query log, auditor and flight
+// recorder untouched.
+func TestSystemsShareNoSinks(t *testing.T) {
+	boot := func() *System {
+		s, err := NewSystem(Options{RegionBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	a, b := boot(), boot()
+	if a.Tel == b.Tel || a.Rec == b.Rec || a.Audit == b.Audit || a.Obs == b.Obs {
+		t.Fatal("zero-value sink options yielded a shared sink")
+	}
+	tbl, _ := loadTable(t, a, 5_000, workload.HitQ1, 0.2)
+	col, _ := tbl.Column("address_string")
+	if _, err := a.Exec(context.Background(), col.Strs, workload.Q1Regex, token.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	seen := func(s *System) [4]int64 {
+		return [4]int64{
+			s.Tel.Snapshot().Counter("core.queries"),
+			int64(s.Obs.Log.Stats().Submitted),
+			s.Audit.Stats().Observed,
+			int64(s.Rec.Len()),
+		}
+	}
+	for i, v := range seen(a) {
+		if v == 0 {
+			t.Errorf("sink %d of the System that ran the query saw nothing", i)
+		}
+	}
+	if got := seen(b); got != [4]int64{} {
+		t.Errorf("idle System's sinks saw the other's query: queries/log/auditor/recorder = %v", got)
 	}
 }

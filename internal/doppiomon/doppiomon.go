@@ -60,19 +60,19 @@ type UtilizationSource interface {
 	Topdown() topdown.FabricReport
 }
 
-// Config wires the server to the process's observability state. Nil fields
-// render as empty sections rather than failing.
+// Config wires the server to one set of sinks — a core.System's, or the set
+// a command shares among its Systems. Nil fields render as empty sections
+// rather than failing; nothing is looked up behind the caller's back.
 type Config struct {
-	// Registry backs /metrics (nil: the process default).
+	// Registry backs /metrics.
 	Registry *telemetry.Registry
-	// Recorder backs /trace (nil: the process default).
+	// Recorder backs /trace.
 	Recorder *flightrec.Recorder
 	// Health backs /health's per-engine section.
 	Health HealthSource
-	// Calibration backs /calibration (nil: the process default auditor).
+	// Calibration backs /calibration.
 	Calibration *explain.Auditor
-	// Obs backs /querylog and /slo, and its burn-rate alert flips /health
-	// (nil: the process default observer).
+	// Obs backs /querylog and /slo, and its burn-rate alert flips /health.
 	Obs *obs.Observer
 	// Utilization backs /utilization's fabric section. Left nil, Start
 	// derives it from Health when that source also serves topdown reports
@@ -90,17 +90,8 @@ type Server struct {
 // Start listens on addr (host:port; port 0 picks a free one) and serves the
 // monitoring endpoints until Close.
 func Start(addr string, cfg Config) (*Server, error) {
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.Default()
-	}
-	if cfg.Recorder == nil {
-		cfg.Recorder = flightrec.Default()
-	}
-	if cfg.Calibration == nil {
-		cfg.Calibration = explain.Default()
-	}
 	if cfg.Obs == nil {
-		cfg.Obs = obs.Default()
+		cfg.Obs = &obs.Observer{} // nil log and SLO engine: both render empty
 	}
 	if cfg.Utilization == nil {
 		if u, ok := cfg.Health.(UtilizationSource); ok {

@@ -395,39 +395,57 @@ func TestHealthFlipsOnSLOAlert(t *testing.T) {
 }
 
 // Every endpoint must declare its Content-Type, JSON documents as
-// application/json — the consistency contract dashboards rely on.
+// application/json — the consistency contract dashboards rely on. A server
+// started from the zero Config has no sinks at all: every pair must still
+// answer 200 with the same Content-Type, rendering its section empty.
 func TestEndpointsSetContentType(t *testing.T) {
-	srv, _, _ := bootMon(t)
+	live, _, _ := bootMon(t)
+	bare, err := Start("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bare.Close() })
 	cases := []struct {
-		path string
-		want string
+		path  string
+		want  string
+		empty string // what the bare server's body carries in place of content
 	}{
-		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/metrics?format=json", "application/json"},
-		{"/health", "application/json"},
-		{"/trace", "application/json"},
-		{"/trace?format=perfetto", "application/json"},
-		{"/trace?format=text", "text/plain; charset=utf-8"},
-		{"/calibration", "application/json"},
-		{"/calibration?format=text", "text/plain; charset=utf-8"},
-		{"/querylog", "application/json"},
-		{"/querylog?format=jsonl", "application/x-ndjson"},
-		{"/querylog?format=text", "text/plain; charset=utf-8"},
-		{"/slo", "application/json"},
-		{"/slo?format=text", "text/plain; charset=utf-8"},
-		{"/utilization", "application/json"},
-		{"/utilization?format=text", "text/plain; charset=utf-8"},
+		{"/metrics", "text/plain; version=0.0.4; charset=utf-8", "doppio_build_info"},
+		{"/metrics?format=json", "application/json", `"counters": {}`},
+		{"/health", "application/json", `"events": 0`},
+		{"/trace", "application/json", `"events": []`},
+		{"/trace?format=perfetto", "application/json", `"traceEvents"`},
+		{"/trace?format=text", "text/plain; charset=utf-8", "flightrec: empty window"},
+		{"/calibration", "application/json", `"observed": 0`},
+		{"/calibration?format=text", "text/plain; charset=utf-8", "0 record(s)"},
+		{"/querylog", "application/json", `"events": []`},
+		{"/querylog?format=jsonl", "application/x-ndjson", ""},
+		{"/querylog?format=text", "text/plain; charset=utf-8", "query log: no events retained"},
+		{"/slo", "application/json", `"submitted": 0`},
+		{"/slo?format=text", "text/plain; charset=utf-8", "submitted 0, errors 0"},
+		{"/utilization", "application/json", `"engines": []`},
+		{"/utilization?format=text", "text/plain; charset=utf-8", "0 rounds"},
 	}
 	for _, tc := range cases {
-		resp, err := http.Get("http://" + srv.Addr() + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := resp.Header.Get("Content-Type")
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-		resp.Body.Close()
-		if got != tc.want {
-			t.Errorf("%s Content-Type = %q, want %q", tc.path, got, tc.want)
+		for _, srv := range []*Server{live, bare} {
+			resp, err := http.Get("http://" + srv.Addr() + tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := resp.Header.Get("Content-Type")
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if got != tc.want {
+				t.Errorf("%s Content-Type = %q, want %q", tc.path, got, tc.want)
+			}
+			if srv != bare {
+				continue
+			}
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), tc.empty) ||
+				(tc.empty == "" && len(body) != 0) {
+				t.Errorf("%s on a zero Config: status %d, body %.300q; want 200 carrying %q",
+					tc.path, resp.StatusCode, body, tc.empty)
+			}
 		}
 	}
 }

@@ -76,13 +76,13 @@ type Engine struct {
 	tel *telemetry.Registry
 }
 
-// New creates engine id of the device, reporting into the process-wide
-// telemetry registry until SetTelemetry rewires it.
+// New creates engine id of the device. Its work counters are detached (they
+// count into the void) until SetTelemetry binds a registry.
 func New(dev *fpga.Device, id int) *Engine {
-	return &Engine{ID: id, dev: dev, tel: telemetry.Default()}
+	return &Engine{ID: id, dev: dev}
 }
 
-// SetTelemetry rebinds the engine's work counters to reg.
+// SetTelemetry binds the engine's work counters to reg.
 func (e *Engine) SetTelemetry(reg *telemetry.Registry) { e.tel = reg }
 
 // Execute runs one job functionally and returns its stats. The error paths

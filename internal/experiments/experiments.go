@@ -16,6 +16,9 @@ import (
 	"fmt"
 
 	"doppiodb/internal/bat"
+	"doppiodb/internal/core"
+	"doppiodb/internal/fpga"
+	"doppiodb/internal/mdb"
 	"doppiodb/internal/memmodel"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/sim"
@@ -40,6 +43,12 @@ type Config struct {
 	// Clients is the concurrent client-goroutine count of the measured
 	// throughput runs (0: the paper's 10).
 	Clients int
+	// Base is what every System an experiment boots starts from: the sinks
+	// (and fault injector) a caller wants all of them to share — doppiobench
+	// reads its -json sections back from one such set. The zero value gives
+	// each System fresh private sinks. Deployment and RegionBytes are the
+	// experiment's to set.
+	Base core.Options
 }
 
 // Defaults mirror §7.1.1.
@@ -70,6 +79,24 @@ func (c Config) withDefaults() Config {
 		c.Clients = DefaultClients
 	}
 	return c
+}
+
+// newSystem boots an experiment's System: c.Base on a 1 GB region with the
+// given deployment (nil: the default 4×16 device).
+func (c Config) newSystem(dep *fpga.Deployment) (*core.System, error) {
+	o := c.Base
+	o.Deployment = dep
+	o.RegionBytes = 1 << 30
+	return core.NewSystem(o)
+}
+
+// newSoftwareDB is the software-only column store of the CPU baselines. It
+// reports into the registry the experiment's Systems share; when they share
+// none its metrics are detached (nothing reads them).
+func (c Config) newSoftwareDB() *mdb.DB {
+	db := mdb.New(nil)
+	db.Tel = c.Base.Telemetry
+	return db
 }
 
 // scaleWork extrapolates sampled work to n rows.

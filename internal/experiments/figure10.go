@@ -32,7 +32,7 @@ type Figure10Result struct {
 func Figure10(cfg Config) (*Figure10Result, error) {
 	cfg = cfg.withDefaults()
 	const tuples = 10_000
-	s, err := core.NewSystem(core.Options{RegionBytes: 1 << 30})
+	s, err := cfg.newSystem(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 	// reported times are at the paper's SF 0.1.
 	funcSF := 0.01
 	tp := workload.GenerateTPCH(cfg.Seed, funcSF, 0.01)
-	db := mdb.New(nil)
+	db := cfg.newSoftwareDB()
 	eng := sql.NewEngine(db)
 	cust, err := db.CreateTable("customer", mdb.ColSpec{Name: "c_custkey", Kind: mdb.KindInt})
 	if err != nil {

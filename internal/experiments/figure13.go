@@ -8,7 +8,6 @@ import (
 	"doppiodb/internal/config"
 	"doppiodb/internal/core"
 	"doppiodb/internal/fpga"
-	"doppiodb/internal/mdb"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/sim"
 	"doppiodb/internal/token"
@@ -45,7 +44,7 @@ func Figure13(cfg Config) (*Figure13Result, error) {
 	// Deploy a device that cannot hold QH so hybrid execution engages.
 	dep := fpga.DefaultDeployment()
 	dep.Limits = config.Limits{MaxStates: 8, MaxChars: 24}
-	s, err := core.NewSystem(core.Options{Deployment: &dep, RegionBytes: 1 << 30})
+	s, err := cfg.newSystem(&dep)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +103,7 @@ func Figure13(cfg Config) (*Figure13Result, error) {
 // qhMonetDBWork measures the software cost of QH via REGEXP_LIKE.
 func qhMonetDBWork(cfg Config) (perf.Work, error) {
 	rows, _ := workload.NewGenerator(cfg.Seed+1, 80).Table(cfg.SampleRows, workload.HitQH, cfg.Selectivity)
-	db := mdb.New(nil)
+	db := cfg.newSoftwareDB()
 	tbl, err := db.LoadAddressTable("address_table", rows)
 	if err != nil {
 		return perf.Work{}, err

@@ -49,7 +49,7 @@ type Figure9Result struct {
 // perRowWork measures the per-row software work of a query on sampled data.
 func perRowWork(cfg Config, q queryDef) (perf.Work, error) {
 	rows, _ := genTable(cfg, q.Kind)
-	db := mdb.New(nil)
+	db := cfg.newSoftwareDB()
 	tbl, err := db.LoadAddressTable("address_table", rows)
 	if err != nil {
 		return perf.Work{}, err

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"doppiodb/internal/bat"
-	"doppiodb/internal/core"
 	"doppiodb/internal/fpga"
 	"doppiodb/internal/token"
 	"doppiodb/internal/workload"
@@ -53,7 +52,7 @@ func paperQueryVolume() float64 {
 func measureThroughput(cfg Config, engines, clients, perClient int) (*MeasuredRate, error) {
 	dep := fpga.DefaultDeployment()
 	dep.Engines = engines
-	s, err := core.NewSystem(core.Options{Deployment: &dep, RegionBytes: 1 << 30})
+	s, err := cfg.newSystem(&dep)
 	if err != nil {
 		return nil, err
 	}

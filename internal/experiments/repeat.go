@@ -75,11 +75,9 @@ const repeatRounds = 3
 // registry (so counter deltas are the pass's own) and a SQL engine wired
 // to its cost-model advisor.
 func repeatSystem(cfg Config, shared bool) (*core.System, *sql.Engine, []string, int, error) {
-	s, err := core.NewSystem(core.Options{
-		RegionBytes: 1 << 30,
-		Telemetry:   telemetry.NewRegistry(),
-		SharedScans: shared,
-	})
+	cfg.Base.Telemetry = telemetry.NewRegistry()
+	cfg.Base.SharedScans = shared
+	s, err := cfg.newSystem(nil)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}

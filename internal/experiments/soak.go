@@ -134,14 +134,8 @@ func Soak(cfg Config) (*SoakResult, error) {
 	ob := obs.New(obs.Options{})
 
 	before := runtime.NumGoroutine()
-	s, err := core.NewSystem(core.Options{
-		RegionBytes: 1 << 30,
-		Telemetry:   reg,
-		Faults:      inj,
-		Recorder:    rec,
-		Auditor:     aud,
-		Obs:         ob,
-	})
+	cfg.Base = core.Options{Telemetry: reg, Faults: inj, Recorder: rec, Auditor: aud, Obs: ob}
+	s, err := cfg.newSystem(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"doppiodb/internal/mdb"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/rowdb"
 	"doppiodb/internal/workload"
@@ -33,7 +32,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 	rows, _ := genTable(cfg, workload.HitTable1)
 
 	// MonetDB side.
-	mdbDB := mdb.New(nil)
+	mdbDB := cfg.newSoftwareDB()
 	mt, err := mdbDB.LoadAddressTable("address_table", rows)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"doppiodb/internal/core"
 	"doppiodb/internal/fpga"
 	"doppiodb/internal/token"
 	"doppiodb/internal/topdown"
@@ -80,7 +79,7 @@ func Topdown(cfg Config) (*TopdownResult, error) {
 func topdownPoint(cfg Config, engines int) (*TopdownPoint, error) {
 	dep := fpga.DefaultDeployment()
 	dep.Engines = engines
-	s, err := core.NewSystem(core.Options{Deployment: &dep, RegionBytes: 1 << 30})
+	s, err := cfg.newSystem(&dep)
 	if err != nil {
 		return nil, err
 	}

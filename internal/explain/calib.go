@@ -73,13 +73,6 @@ func NewAuditor(opts Options) *Auditor {
 	}
 }
 
-// defaultAuditor is the process-wide auditor every system binds to unless
-// explicitly rewired (tests use private auditors for isolation).
-var defaultAuditor = NewAuditor(Options{})
-
-// Default returns the process-wide auditor.
-func Default() *Auditor { return defaultAuditor }
-
 // SetTelemetry points the auditor's gauges and counters at a registry.
 func (a *Auditor) SetTelemetry(r *telemetry.Registry) {
 	if a == nil {

@@ -397,40 +397,22 @@ func parseDrop(val string, o *Options) error {
 // from (the CI fault matrix sets it).
 const EnvVar = "DOPPIO_FAULTS"
 
-var (
-	defMu     sync.Mutex
-	defInj    *Injector
-	defLoaded bool
-)
+// Default returns the process default injector: the one DOPPIO_FAULTS
+// describes, parsed on first use and immutable afterwards, else nil (no
+// injection). It is input from outside the program — the way the CI fault
+// matrix reaches every hal.New of a test process; a program that wants an
+// injector passes one (core.Options.Faults).
+func Default() *Injector { return envInjector() }
 
-// SetDefault installs the process default injector (doppiobench -faults).
-func SetDefault(in *Injector) {
-	defMu.Lock()
-	defer defMu.Unlock()
-	defInj, defLoaded = in, true
-}
-
-// Default returns the process default injector: the one installed by
-// SetDefault, else one parsed from DOPPIO_FAULTS on first use, else nil (no
-// injection).
-func Default() *Injector {
-	defMu.Lock()
-	defer defMu.Unlock()
-	if !defLoaded {
-		defLoaded = true
-		if spec := os.Getenv(EnvVar); spec != "" {
-			in, err := NewFromSpec(spec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "faults: ignoring %s: %v\n", EnvVar, err)
-			} else {
-				defInj = in
-			}
-		}
+var envInjector = sync.OnceValue(func() *Injector {
+	in, err := FromEnv()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "faults: ignoring %s: %v\n", EnvVar, err)
 	}
-	return defInj
-}
+	return in
+})
 
-// FromEnv parses DOPPIO_FAULTS directly, bypassing the Default cache (tests
+// FromEnv parses DOPPIO_FAULTS directly, bypassing Default's cache (tests
 // use it with t.Setenv). It returns nil when the variable is unset.
 func FromEnv() (*Injector, error) {
 	spec := os.Getenv(EnvVar)

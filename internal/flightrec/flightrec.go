@@ -202,7 +202,7 @@ type Event struct {
 	Note string `json:"note,omitempty"`
 }
 
-// DefaultCapacity is the default ring size: at ~128 B per event the
+// DefaultCapacity is the default ring size: at ~128 B per event a full
 // recorder holds the last ~32k events in ~4 MB, several drain batches of
 // the heaviest experiment.
 const DefaultCapacity = 32768
@@ -211,13 +211,17 @@ const DefaultCapacity = 32768
 // use and nil-safe, so an unwired component records into the void for the
 // cost of one branch.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event // fixed-size ring storage
-	head    uint64  // total events ever recorded; next slot is head%len(buf)
-	count   int     // retained events (<= len(buf))
-	dropped uint64  // events overwritten by the ring
-	sink    io.Writer
-	dumps   uint64
+	mu sync.Mutex
+	// buf holds the retained window. It grows on demand up to capacity
+	// slots — a System that records little pins little — and from then on
+	// is a ring whose oldest slot is next.
+	buf      []Event
+	capacity int
+	next     int    // slot the next event overwrites once buf is full
+	head     uint64 // total events ever recorded (the next sequence number)
+	dropped  uint64 // events overwritten by the ring
+	sink     io.Writer
+	dumps    uint64
 }
 
 // New creates a recorder holding the most recent capacity events
@@ -226,15 +230,8 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
-
-// defaultRecorder is the process-wide always-on recorder every system binds
-// to unless explicitly rewired (tests use private recorders for isolation).
-var defaultRecorder = New(DefaultCapacity)
-
-// Default returns the process-wide recorder.
-func Default() *Recorder { return defaultRecorder }
 
 // Record appends an event, stamping its sequence number and — when the
 // caller left it zero — its wall timestamp. Oldest events are overwritten
@@ -248,14 +245,27 @@ func (r *Recorder) Record(e Event) {
 	}
 	r.mu.Lock()
 	e.Seq = r.head
-	r.buf[r.head%uint64(len(r.buf))] = e
 	r.head++
-	if r.count < len(r.buf) {
-		r.count++
+	if len(r.buf) < r.capacity {
+		r.buf = append(GrowRing(r.buf, r.capacity), e)
 	} else {
+		r.buf[r.next] = e
+		r.next = (r.next + 1) % r.capacity
 		r.dropped++
 	}
 	r.mu.Unlock()
+}
+
+// GrowRing returns buf with room for one more element, doubling a full
+// backing array but never past capacity slots (append's own growth would
+// overshoot the bound). The caller guarantees len(buf) < capacity.
+func GrowRing[T any](buf []T, capacity int) []T {
+	if len(buf) < cap(buf) {
+		return buf
+	}
+	grown := make([]T, len(buf), min(max(2*cap(buf), 64), capacity))
+	copy(grown, buf)
+	return grown
 }
 
 // Window returns the retained events in recording order (oldest first).
@@ -265,12 +275,8 @@ func (r *Recorder) Window() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, r.count)
-	n := uint64(len(r.buf))
-	for i := 0; i < r.count; i++ {
-		out[i] = r.buf[(r.head-uint64(r.count)+uint64(i))%n]
-	}
-	return out
+	out := make([]Event, 0, len(r.buf))
+	return append(append(out, r.buf[r.next:]...), r.buf[:r.next]...)
 }
 
 // Len returns the number of retained events.
@@ -280,7 +286,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.count
+	return len(r.buf)
 }
 
 // Total returns the number of events ever recorded.
@@ -303,13 +309,14 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// Reset discards the retained window (sequence numbering continues).
+// Reset discards the retained window (sequence numbering continues). The
+// backing array is kept, so refilling allocates nothing.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.count = 0
+	r.buf, r.next = r.buf[:0], 0
 	r.mu.Unlock()
 }
 

@@ -9,42 +9,80 @@ import (
 )
 
 func TestRingRetainsMostRecent(t *testing.T) {
-	r := New(4)
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Type: EvJobSubmit, Engine: i, Unit: -1})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", r.Total())
-	}
-	if r.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", r.Dropped())
-	}
-	w := r.Window()
-	for i, e := range w {
-		if e.Engine != 6+i {
-			t.Fatalf("window[%d].Engine = %d, want %d (most recent retained)", i, e.Engine, 6+i)
+	// The ring allocates slots as events arrive, so every fill level of a
+	// ring smaller (4) and larger (100) than the first growth step matters:
+	// empty, one short of full, exactly full, wrapped, wrapped three times.
+	for _, c := range []struct{ capacity, n int }{
+		{4, 10},
+		{4, 0}, {4, 3}, {4, 4}, {4, 12},
+		{100, 0}, {100, 99}, {100, 100}, {100, 300},
+	} {
+		r := New(c.capacity)
+		for i := 0; i < c.n; i++ {
+			r.Record(Event{Type: EvJobSubmit, Engine: i, Unit: -1})
+			if cap(r.buf) > c.capacity {
+				t.Fatalf("cap %d, n %d: backing store grew to %d slots", c.capacity, c.n, cap(r.buf))
+			}
 		}
-		if e.Seq != uint64(6+i) {
-			t.Fatalf("window[%d].Seq = %d, want %d", i, e.Seq, 6+i)
+		kept := min(c.n, c.capacity)
+		if r.Len() != kept {
+			t.Fatalf("cap %d, n %d: Len = %d, want %d", c.capacity, c.n, r.Len(), kept)
+		}
+		if r.Total() != uint64(c.n) {
+			t.Fatalf("cap %d, n %d: Total = %d", c.capacity, c.n, r.Total())
+		}
+		if r.Dropped() != uint64(c.n-kept) {
+			t.Fatalf("cap %d, n %d: Dropped = %d, want %d", c.capacity, c.n, r.Dropped(), c.n-kept)
+		}
+		w := r.Window()
+		if len(w) != kept {
+			t.Fatalf("cap %d, n %d: window holds %d events, want %d", c.capacity, c.n, len(w), kept)
+		}
+		for i, e := range w {
+			if want := c.n - kept + i; e.Engine != want || e.Seq != uint64(want) {
+				t.Fatalf("cap %d, n %d: window[%d] = engine %d seq %d, want %d (most recent retained, oldest first)",
+					c.capacity, c.n, i, e.Engine, e.Seq, want)
+			}
 		}
 	}
 }
 
 func TestSequenceMonotonicAcrossReset(t *testing.T) {
-	r := New(8)
-	r.Record(Event{})
-	r.Record(Event{})
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", r.Len())
-	}
-	r.Record(Event{})
-	w := r.Window()
-	if len(w) != 1 || w[0].Seq != 2 {
-		t.Fatalf("after reset: window = %+v, want single event with Seq 2", w)
+	// before events, a Reset, then after events: the window restarts empty,
+	// sequence numbers carry on, and refilling reuses the slots already
+	// allocated — also when the Reset lands mid-growth (70 of 100) or on a
+	// wrapped ring (250 of 100).
+	for _, c := range []struct{ capacity, before, after int }{
+		{8, 2, 1},
+		{100, 70, 0}, {100, 70, 99}, {100, 70, 100}, {100, 70, 300},
+		{100, 250, 99}, {100, 250, 300},
+	} {
+		r := New(c.capacity)
+		for i := 0; i < c.before; i++ {
+			r.Record(Event{})
+		}
+		dropped := r.Dropped()
+		r.Reset()
+		if r.Len() != 0 || len(r.Window()) != 0 {
+			t.Fatalf("%+v: Len after Reset = %d, want 0", c, r.Len())
+		}
+		for i := 0; i < c.after; i++ {
+			r.Record(Event{})
+			if cap(r.buf) > c.capacity {
+				t.Fatalf("%+v: backing store grew to %d slots", c, cap(r.buf))
+			}
+		}
+		kept := min(c.after, c.capacity)
+		w := r.Window()
+		if len(w) != kept || r.Dropped() != dropped+uint64(c.after-kept) {
+			t.Fatalf("%+v: window holds %d events (%d dropped), want %d (%d)",
+				c, len(w), r.Dropped(), kept, dropped+uint64(c.after-kept))
+		}
+		for i, e := range w {
+			if want := uint64(c.before + c.after - kept + i); e.Seq != want {
+				t.Fatalf("%+v: window[%d].Seq = %d, want %d", c, i, e.Seq, want)
+			}
+		}
 	}
 }
 

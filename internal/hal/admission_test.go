@@ -12,8 +12,8 @@ import (
 	"doppiodb/internal/telemetry"
 )
 
-// reg installs a private registry on an existing HAL so counter assertions
-// don't race other tests through the process default.
+// privateReg binds a registry to an existing HAL (hal.New leaves it
+// detached) so its counters can be asserted on.
 func privateReg(h *HAL) *telemetry.Registry {
 	r := telemetry.NewRegistry()
 	h.SetTelemetry(r)

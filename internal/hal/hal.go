@@ -202,8 +202,10 @@ type HAL struct {
 
 // New boots the HAL: it performs the AAL handshake (allocating the DSM page
 // and verifying the AFU identity), allocates the shared-memory job queue,
-// and instantiates the engine frontends. Fault injection defaults to the
-// process default (faults.Default); SetInjector overrides it.
+// and instantiates the engine frontends. The HAL starts detached from every
+// sink — no registry, no flight recorder — until SetTelemetry / SetRecorder
+// bind its owner's. Fault injection starts at what DOPPIO_FAULTS describes
+// (faults.Default); SetInjector overrides it.
 func New(region *shmem.Region, dev *fpga.Device) (*HAL, error) {
 	if region == nil || dev == nil {
 		return nil, errors.New("hal: need a shared region and a programmed device")
@@ -212,9 +214,7 @@ func New(region *shmem.Region, dev *fpga.Device) (*HAL, error) {
 		region: region,
 		dev:    dev,
 		params: memmodel.Default(),
-		tel:    telemetry.Default(),
 		inj:    faults.Default(),
-		rec:    flightrec.Default(),
 	}
 	h.params.EngineBandwidth = dev.Deployment.EngineBandwidth()
 	h.cond = sync.NewCond(&h.mu)
@@ -225,9 +225,6 @@ func New(region *shmem.Region, dev *fpga.Device) (*HAL, error) {
 	h.queuedVol = make([]int64, len(h.engines))
 	h.tdEngines = make([]topdown.Buckets, len(h.engines))
 	h.health = make([]engineHealth, len(h.engines))
-	h.tel.Gauge("hal.engines.total").Set(int64(len(h.engines)))
-	h.tel.Gauge("hal.engines.healthy").Set(int64(len(h.engines)))
-	h.queueWait = h.tel.Histogram("hal.queue_wait_ns", queueWaitBounds...)
 
 	var err error
 	if h.dsmAddr, err = region.Alloc(shmem.MinSlab); err != nil {
@@ -258,8 +255,8 @@ var queueWaitBounds = []int64{
 	50_000_000, 100_000_000, 500_000_000, 1_000_000_000,
 }
 
-// SetTelemetry rebinds the HAL and its engine frontends to reg and
-// re-asserts the engine-health gauges there.
+// SetTelemetry binds the HAL and its engine frontends to reg and asserts
+// the engine-health gauges there.
 func (h *HAL) SetTelemetry(reg *telemetry.Registry) {
 	h.tel = reg
 	h.queueWait = reg.Histogram("hal.queue_wait_ns", queueWaitBounds...)
@@ -276,7 +273,7 @@ func (h *HAL) SetTelemetry(reg *telemetry.Registry) {
 // SetInjector rebinds fault injection. nil disables it.
 func (h *HAL) SetInjector(in *faults.Injector) { h.inj = in }
 
-// SetRecorder rebinds the flight recorder. nil disables recording.
+// SetRecorder binds the flight recorder. nil disables recording.
 func (h *HAL) SetRecorder(r *flightrec.Recorder) { h.rec = r }
 
 // Recorder returns the HAL's flight recorder.

@@ -214,7 +214,8 @@ func (h *HAL) fabricReset() {
 	h.mu.Unlock()
 }
 
-// FabricResets returns the lifetime fabric-reset count.
+// FabricResets returns the lifetime fabric-reset count, read back from the
+// bound registry (0 while the HAL is detached).
 func (h *HAL) FabricResets() int64 {
 	return h.tel.Counter("hal.fabric_resets").Value()
 }

@@ -204,7 +204,8 @@ type DB struct {
 	Mode    ExecMode
 	Threads int
 	// Tel receives operator-level metrics (scan rows in/out, operator
-	// timings). Defaults to the process-wide registry.
+	// timings). New gives the database a registry of its own;
+	// core.NewSystem replaces it with its System's. Nil detaches the metrics.
 	Tel *telemetry.Registry
 }
 
@@ -216,7 +217,7 @@ func New(region *shmem.Region) *DB {
 		tables:  make(map[string]*Table),
 		udfs:    make(map[string]UDF),
 		Threads: 10,
-		Tel:     telemetry.Default(),
+		Tel:     telemetry.NewRegistry(),
 	}
 }
 

@@ -40,13 +40,6 @@ func New(opts Options) *Observer {
 	return o
 }
 
-// defaultObserver is the process-wide observer every System feeds unless
-// explicitly rewired (tests and the soak experiment use private ones).
-var defaultObserver = New(Options{})
-
-// Default returns the process-wide observer.
-func Default() *Observer { return defaultObserver }
-
 // SetTelemetry mirrors both components' accounting into the registry.
 func (o *Observer) SetTelemetry(tel *telemetry.Registry) {
 	if o == nil {

@@ -16,6 +16,7 @@ import (
 	"io"
 	"sync"
 
+	"doppiodb/internal/flightrec"
 	"doppiodb/internal/telemetry"
 	"doppiodb/internal/topdown"
 )
@@ -146,9 +147,10 @@ type LogStats struct {
 type Log struct {
 	mu   sync.Mutex
 	opts LogOptions
+	// buf grows on demand up to opts.Capacity events, then is a ring whose
+	// oldest slot is next.
 	buf  []Event
-	next int // ring write cursor
-	full bool
+	next int
 
 	seq        uint64 // submission counter (assigns Event.Seq)
 	fastSeen   uint64 // fast happy-path events seen, drives the sampler
@@ -163,11 +165,7 @@ type Log struct {
 // NewLog builds a query log.
 func NewLog(opts LogOptions) *Log {
 	opts = opts.withDefaults()
-	return &Log{
-		opts:      opts,
-		buf:       make([]Event, opts.Capacity),
-		byOutcome: make(map[Outcome]uint64),
-	}
+	return &Log{opts: opts, byOutcome: make(map[Outcome]uint64)}
 }
 
 // SetTelemetry mirrors the admission accounting into querylog.* counters.
@@ -227,11 +225,12 @@ func (l *Log) Record(ev Event) {
 	}
 	l.kept++
 	l.tel.Counter("querylog.kept").Inc()
-	l.buf[l.next] = ev
-	l.next = (l.next + 1) % len(l.buf)
-	if l.next == 0 {
-		l.full = true
+	if len(l.buf) < l.opts.Capacity {
+		l.buf = append(flightrec.GrowRing(l.buf, l.opts.Capacity), ev)
+		return
 	}
+	l.buf[l.next] = ev
+	l.next = (l.next + 1) % l.opts.Capacity
 }
 
 // Stats returns the admission accounting.
@@ -248,8 +247,7 @@ func (l *Log) Stats() LogStats {
 		SampledOut: l.sampledOut,
 		ByOutcome:  make(map[Outcome]uint64, len(l.byOutcome)),
 	}
-	n := uint64(len(l.buf))
-	if l.kept > n {
+	if n := uint64(l.opts.Capacity); l.kept > n {
 		s.Evicted = l.kept - n
 	}
 	for k, v := range l.byOutcome {
@@ -266,18 +264,13 @@ func (l *Log) Window(n int) []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	size := l.next
-	start := 0
-	if l.full {
-		size = len(l.buf)
-		start = l.next
-	}
+	size := len(l.buf)
 	if n <= 0 || n > size {
 		n = size
 	}
 	out := make([]Event, 0, n)
 	for i := size - n; i < size; i++ {
-		out = append(out, l.buf[(start+i)%len(l.buf)])
+		out = append(out, l.buf[(l.next+i)%size])
 	}
 	return out
 }

@@ -60,25 +60,41 @@ func TestLogTailBiasedSampling(t *testing.T) {
 // The ring is bounded: old events are evicted, Seq keeps counting, and
 // Window returns the most recent events oldest-first.
 func TestLogRingEviction(t *testing.T) {
-	l := NewLog(LogOptions{Capacity: 4, SampleEvery: 1})
-	for i := 0; i < 10; i++ {
-		l.Record(fastEvent(int64(i)))
-	}
-	st := l.Stats()
-	if st.Kept != 10 || st.Evicted != 6 {
-		t.Fatalf("kept/evicted: got %d/%d, want 10/6", st.Kept, st.Evicted)
-	}
-	win := l.Window(0)
-	if len(win) != 4 {
-		t.Fatalf("window size: got %d, want 4", len(win))
-	}
-	for i, ev := range win {
-		if want := uint64(7 + i); ev.Seq != want {
-			t.Fatalf("window[%d].Seq: got %d, want %d (oldest first)", i, ev.Seq, want)
+	// The ring allocates slots as events arrive: check every fill level of
+	// a ring smaller (4) and larger (100) than the first growth step.
+	for _, c := range []struct{ capacity, n int }{
+		{4, 10},
+		{4, 0}, {4, 3}, {4, 4}, {4, 12},
+		{100, 0}, {100, 99}, {100, 100}, {100, 300},
+	} {
+		l := NewLog(LogOptions{Capacity: c.capacity, SampleEvery: 1})
+		for i := 0; i < c.n; i++ {
+			l.Record(fastEvent(int64(i)))
+			if cap(l.buf) > c.capacity {
+				t.Fatalf("cap %d, n %d: backing store grew to %d slots", c.capacity, c.n, cap(l.buf))
+			}
 		}
-	}
-	if got := l.Window(2); len(got) != 2 || got[1].Seq != 10 {
-		t.Fatalf("Window(2) wrong: %+v", got)
+		kept := min(c.n, c.capacity)
+		st := l.Stats()
+		if st.Kept != uint64(c.n) || st.Evicted != uint64(c.n-kept) {
+			t.Fatalf("cap %d, n %d: kept/evicted: got %d/%d, want %d/%d",
+				c.capacity, c.n, st.Kept, st.Evicted, c.n, c.n-kept)
+		}
+		win := l.Window(0)
+		if len(win) != kept {
+			t.Fatalf("cap %d, n %d: window size: got %d, want %d", c.capacity, c.n, len(win), kept)
+		}
+		for i, ev := range win {
+			if want := uint64(c.n - kept + 1 + i); ev.Seq != want {
+				t.Fatalf("cap %d, n %d: window[%d].Seq: got %d, want %d (oldest first)",
+					c.capacity, c.n, i, ev.Seq, want)
+			}
+		}
+		if kept >= 2 {
+			if got := l.Window(2); len(got) != 2 || got[1].Seq != uint64(c.n) {
+				t.Fatalf("cap %d, n %d: Window(2) wrong: %+v", c.capacity, c.n, got)
+			}
+		}
 	}
 }
 

@@ -145,7 +145,7 @@ func (e *Engine) Exec(stmt *SelectStmt) (*Result, error) {
 // operator tree (planner.go), then drive the tree (physexec.go). All
 // execution — fast counts included — flows through internal/plan operators;
 // the pre-operator inline path survives only as the equivalence-test
-// reference in legacy.go.
+// reference in legacy_test.go, compiled into the test binary only.
 func (e *Engine) exec(ctx context.Context, stmt *SelectStmt, root *telemetry.Span) (*Result, error) {
 	e.Tel.Counter("sql.queries").Inc()
 	if stmt.Explain {

@@ -21,9 +21,8 @@ func leafLine(t *testing.T, res *Result) string {
 	return lines[len(lines)-1]
 }
 
-// cacheDelta reads the plan-cache counters relative to a baseline: engines
-// share the process-wide telemetry registry, so absolute values accumulate
-// across tests.
+// cacheDelta reads the plan-cache counters relative to a baseline taken
+// after the engine's set-up queries.
 func cacheDelta(e *Engine, base map[string]int64) (hits, misses int64) {
 	snap := e.Tel.Snapshot()
 	return snap.Counter("plan.cache_hits") - base["plan.cache_hits"],

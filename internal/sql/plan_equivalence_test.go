@@ -13,7 +13,7 @@ import (
 )
 
 // The old-vs-new equivalence sweep: every paper query shape runs through
-// both the retained pre-operator reference executor (legacy.go) and the
+// both the retained pre-operator reference executor (legacy_test.go) and the
 // physical-plan path, asserting bit-identical results and work accounting.
 // Advisor-backed queries additionally compare the EXPLAIN decision's cost
 // terms across two systems kept in lockstep.

@@ -114,9 +114,13 @@ func TestHybridQueryTrace(t *testing.T) {
 }
 
 // TestIsolatedRegistry confirms that a System bound to its own registry does
-// not leak metrics into the process-wide default.
+// not leak metrics into the registry of a System booted beside it.
 func TestIsolatedRegistry(t *testing.T) {
-	before := telemetry.Default().Snapshot().Counter("core.queries")
+	other, err := core.NewSystem(core.Options{RegionBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
 	reg := telemetry.NewRegistry()
 	s, err := core.NewSystem(core.Options{RegionBytes: 1 << 30, Telemetry: reg})
 	if err != nil {
@@ -134,7 +138,7 @@ func TestIsolatedRegistry(t *testing.T) {
 	if got := reg.Snapshot().Counter("core.queries"); got != 1 {
 		t.Errorf("isolated registry core.queries = %d, want 1", got)
 	}
-	if after := telemetry.Default().Snapshot().Counter("core.queries"); after != before {
-		t.Errorf("default registry changed: %d -> %d", before, after)
+	if leaked := other.Tel.Snapshot().Counter("core.queries"); leaked != 0 {
+		t.Errorf("neighbouring System's registry saw %d core.queries, want 0", leaked)
 	}
 }

@@ -1,16 +1,15 @@
 // Package telemetry is the zero-dependency observability substrate of the
 // reproduction: typed counters, gauges and fixed-bucket histograms in a
-// process-wide Registry, plus lightweight spans that model the lifecycle of
-// a hybrid CPU-FPGA query (SQL parse → plan → BAT scan → HUDF config-gen →
-// job submit → QPI transfer → engine dispatch → PU match → collect → CPU
-// post-process).
+// Registry, plus lightweight spans that model the lifecycle of a hybrid
+// CPU-FPGA query (SQL parse → plan → BAT scan → HUDF config-gen → job submit
+// → QPI transfer → engine dispatch → PU match → collect → CPU post-process).
 //
 // The design mirrors what the paper's prototype exposes in hardware: the
 // engines write per-job statistics into the Device Status Memory (§3 step
 // 8), and the evaluation (Figures 8–13) is built from PU utilization, heap
-// bandwidth and per-phase response-time breakdowns. Every component of the
-// simulated stack feeds the same registry, so one snapshot answers where a
-// query spent its simulated cycles and what the hardware did to serve it.
+// bandwidth and per-phase response-time breakdowns. Every component of one
+// simulated stack feeds that System's registry, so one snapshot answers where
+// a query spent its simulated cycles and what the hardware did to serve it.
 //
 // Metrics exist in two forms. Registry.Counter / Gauge / Histogram
 // get-or-create a named metric — the common case. Components that keep
@@ -168,7 +167,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Registry is a named collection of metrics, safe for concurrent use. The
-// zero value is not usable; call NewRegistry (or use Default).
+// zero value is not usable; call NewRegistry.
 type Registry struct {
 	mu     sync.Mutex
 	ctrs   map[string]*Counter
@@ -184,13 +183,6 @@ func NewRegistry() *Registry {
 		hists:  make(map[string]*Histogram),
 	}
 }
-
-// defaultRegistry is the process-wide registry every component binds to
-// unless explicitly rewired (tests use private registries for isolation).
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
 
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns a detached counter, so unwired components still work.
@@ -240,8 +232,8 @@ func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 }
 
 // AttachCounter publishes a detached counter under the given name (replacing
-// any previous metric of that name — last attach wins, as when a fresh
-// System reuses the process registry).
+// any previous metric of that name — last attach wins, as when several
+// Systems are handed one registry).
 func (r *Registry) AttachCounter(name string, c *Counter) {
 	if r == nil || c == nil {
 		return

@@ -161,9 +161,9 @@ func (r FabricReport) WriteText(w io.Writer) {
 	}
 }
 
-// Summary is the process-wide topdown view reconstructed from telemetry
+// Summary is the topdown view reconstructed from one registry's telemetry
 // counters — the cross-system aggregate doppiobench reports after running
-// experiments that boot and tear down many fabrics.
+// experiments that boot and tear down many fabrics on a shared registry.
 type Summary struct {
 	Buckets   Buckets          `json:"buckets"`
 	Link      LinkBuckets      `json:"link"`
