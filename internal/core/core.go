@@ -29,6 +29,7 @@ import (
 	"doppiodb/internal/fpga"
 	"doppiodb/internal/hal"
 	"doppiodb/internal/mdb"
+	"doppiodb/internal/memmodel"
 	"doppiodb/internal/obs"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/plan"
@@ -258,25 +259,20 @@ func (r *Result) Total() sim.Time { return r.Breakdown.Total() }
 // HWStats is a query's per-job hardware accounting (zero when the query
 // never reached the device).
 type HWStats struct {
+	// JobLedger is the query's job completions summed: the QPI traffic
+	// (Bytes, Grants, Switches, LinkBusy) of this query's jobs alone, their
+	// engine-cycle Buckets — busy, stall-input, stall-switch, stall-output
+	// and config (parametrization); jobs own no idle, so Wall is their sum
+	// — and the [Start, Done] window covering them on the device timeline.
+	memmodel.JobLedger
 	// Time is the slowest partition's admission→completion span.
 	Time sim.Time
 	// QueueWait is the time the query's jobs waited in the runtime's
 	// backlog before their round started.
 	QueueWait sim.Time
-	// Bytes, Grants and Switches are the QPI traffic attributed to this
-	// query's jobs alone.
-	Bytes    int64
-	Grants   int64
-	Switches int64
 	// Jobs is the engine set the query ran on: how many partitions the
 	// runtime dispatched.
 	Jobs int
-	// LinkBusy is the link service time of this query's grants.
-	LinkBusy sim.Time
-	// Buckets is the engine-cycle classification summed over this query's
-	// job completions: busy, stall-input, stall-switch, stall-output and
-	// config (parametrization). Jobs own no idle, so Wall is their sum.
-	Buckets topdown.Buckets
 }
 
 // hybridRowDispatch is the per-tuple cost of handing a pre-selected row to
@@ -470,18 +466,12 @@ func (s *System) execDirect(ctx context.Context, col *bat.Strings, cp *compiled,
 	bd.Add(PhaseUDF, s.Model.UDFOverhead)
 	parent.NewChild("hudf-software").AddSim(s.Model.UDFOverhead)
 
-	// Step 3: convert the expression into a configuration vector. A config
-	// cache hit reuses the compiled vector: the span stays in the trace for
-	// shape stability, but the simulated config-gen time is zero.
+	// Step 3: convert the expression into a configuration vector —
+	// compilePattern encoded it for every program that fits, and only those
+	// reach here. A config cache hit reuses the compiled vector: the span
+	// stays in the trace for shape stability, but the simulated config-gen
+	// time is zero.
 	cg := parent.StartChild("config-gen")
-	vec := cp.vec
-	if vec == nil {
-		var err error
-		vec, err = config.Encode(cp.prog, s.Device.Deployment.Limits)
-		if err != nil {
-			return nil, err
-		}
-	}
 	cg.End()
 	if cached {
 		cg.SetAttr("cached", int64(1))
@@ -489,7 +479,7 @@ func (s *System) execDirect(ctx context.Context, col *bat.Strings, cp *compiled,
 		bd.Add(PhaseConfigGen, s.Model.ConfigGenTime)
 		cg.AddSim(s.Model.ConfigGenTime)
 	}
-	cg.SetAttr("vector_bytes", int64(len(vec)))
+	cg.SetAttr("vector_bytes", int64(len(cp.vec)))
 
 	// Step 3: allocate the result BAT (in CPU-FPGA shared memory).
 	result, err := bat.NewShorts(s.Region, col.Count())
@@ -502,7 +492,7 @@ func (s *System) execDirect(ctx context.Context, col *bat.Strings, cp *compiled,
 
 	// Steps 4-8: create jobs through the HAL, one partition per engine.
 	sub := parent.StartChild("job-submit")
-	jobs, err := s.submitPartitioned(ctx, vec, col, result)
+	jobs, err := s.submitPartitioned(ctx, cp.vec, col, result)
 	if err != nil {
 		// Release the partitions that did submit: they must not linger in
 		// the distributor's accounting (or hold status blocks) after the
@@ -540,11 +530,7 @@ func (s *System) execDirect(ctx context.Context, col *bat.Strings, cp *compiled,
 		if w := c.QueueWait(); w > hw.QueueWait {
 			hw.QueueWait = w
 		}
-		hw.Bytes += c.Bytes
-		hw.Grants += c.Grants
-		hw.Switches += c.Switches
-		hw.LinkBusy += c.LinkBusy
-		hw.Buckets.Add(c.Buckets)
+		hw.Add(c.JobLedger)
 		matches += j.Stats.Matches
 		cycles += int64(j.Stats.PUCycles)
 	}

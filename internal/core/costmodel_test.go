@@ -87,13 +87,13 @@ func TestPlacementString(t *testing.T) {
 
 func TestAdviseOffload(t *testing.T) {
 	s := newSystem(t)
-	if !s.AdviseOffload(workload.Q2, 2_500_000, 64) {
-		t.Error("should offload a large complex scan")
+	if rec, err := s.ExplainCost(workload.Q2, 2_500_000, 64); err != nil || !rec.Offloads() {
+		t.Errorf("should offload a large complex scan (err %v)", err)
 	}
-	if !s.AdviseOffload(workload.Q1Regex, 50, 64) {
-		t.Error("even tiny scans offload: fixed costs are sub-millisecond")
+	if rec, err := s.ExplainCost(workload.Q1Regex, 50, 64); err != nil || !rec.Offloads() {
+		t.Errorf("even tiny scans offload: fixed costs are sub-millisecond (err %v)", err)
 	}
-	if s.AdviseOffload(`(`, 1000, 64) {
-		t.Error("invalid pattern must not offload")
+	if rec, err := s.ExplainCost(`(`, 1000, 64); err == nil {
+		t.Errorf("invalid pattern must not offload: got record %+v", rec)
 	}
 }

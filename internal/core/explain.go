@@ -23,10 +23,10 @@ func ns(t sim.Time) int64 { return int64(t / sim.Nanosecond) }
 
 // ExplainCost runs the cost model for a predicate and returns the full
 // decision record: candidate plans (fpga, hybrid, software), itemized
-// predicted costs, and the chosen placement with its reason. It subsumes
-// AdviseOffload — the advisor counters live here now — and binds the record
-// to the system's calibration auditor so Finish feeds the rolling error
-// statistics.
+// predicted costs, and the chosen placement with its reason. It is the SQL
+// layer's placement advisor (rec.Offloads() is the advice; the advisor
+// counters live here) and binds the record to the system's calibration
+// auditor so Finish feeds the rolling error statistics.
 func (s *System) ExplainCost(pattern string, rows, avgLen int) (*explain.Record, error) {
 	s.Tel.Counter("core.advisor.decisions").Inc()
 	queued := s.QueuedBytes()
@@ -173,11 +173,7 @@ func (s *System) FinishSoftware(rec *explain.Record, w perf.Work) {
 	}
 	t := s.Model.MonetDBScan(w, true)
 	rec.Finish(explain.Cost{SoftwareNS: ns(t), TotalNS: ns(t)})
-	rec.Topdown = topdown.Analyze(topdown.QueryCycles{
-		Placement: "software",
-		Software:  t,
-		Total:     t,
-	})
+	rec.Topdown = topdown.Analyze("software", false, 0, topdown.Attribution{Software: t, Total: t})
 	s.Tel.Counter("topdown.verdict." + string(rec.Topdown.Verdict)).Inc()
 	s.Obs.ObserveQuery(obs.Event{
 		SimNS:      ns(s.HAL.SimEpoch()),

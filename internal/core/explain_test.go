@@ -226,8 +226,12 @@ func TestAdviseOffloadMatchesExplain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pat, err)
 		}
-		if got := s.AdviseOffload(pat, 1_000_000, 64); got != rec.Offloads() {
-			t.Errorf("%s: AdviseOffload=%v, record offloads=%v", pat, got, rec.Offloads())
+		est, err := s.EstimateCost(pat, 1_000_000, 64, s.QueuedBytes())
+		if err != nil {
+			t.Fatalf("%s: %v", pat, err)
+		}
+		if want := est.Placement != PlaceSoftware; rec.Offloads() != want {
+			t.Errorf("%s: record offloads=%v, cost model placed it %v", pat, rec.Offloads(), est.Placement)
 		}
 	}
 }

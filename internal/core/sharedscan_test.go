@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"doppiodb/internal/memmodel"
 	"doppiodb/internal/telemetry"
 	"doppiodb/internal/token"
 	"doppiodb/internal/workload"
@@ -36,7 +37,8 @@ func TestSharedExecCoalesces(t *testing.T) {
 	key := scanKey{pattern: "p"}
 	started := make(chan struct{})
 	release := make(chan struct{})
-	leaderRes := &Result{MatchCount: 7, HW: HWStats{Bytes: 4096, Grants: 3, Jobs: 4}}
+	leaderRes := &Result{MatchCount: 7, HW: HWStats{
+		JobLedger: memmodel.JobLedger{Bytes: 4096, Grants: 3}, Jobs: 4}}
 
 	var wg sync.WaitGroup
 	wg.Add(1)

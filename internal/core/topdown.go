@@ -15,15 +15,12 @@ func (s *System) attributeQuery(placement string, res *Result) *topdown.Attribut
 	bd := res.Breakdown
 	software := bd.Get(PhaseDatabase) + bd.Get(PhaseUDF) + bd.Get(PhaseHAL) +
 		bd.Get(PhaseSoftware) + bd.Get(PhaseRetry)
-	a := topdown.Analyze(topdown.QueryCycles{
-		Placement: placement,
-		Degraded:  res.Degraded,
+	a := topdown.Analyze(placement, res.Degraded, res.HW.LinkBusy, topdown.Attribution{
 		Software:  software,
 		ConfigGen: bd.Get(PhaseConfigGen),
 		Queue:     bd.Get(PhaseQueue),
 		Hardware:  bd.Get(PhaseHardware),
 		Total:     res.Total(),
-		LinkBusy:  res.HW.LinkBusy,
 		Buckets:   res.HW.Buckets,
 	})
 	s.Tel.Counter("topdown.verdict." + string(a.Verdict)).Inc()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"doppiodb/internal/bat"
 	"doppiodb/internal/fpga"
 	"doppiodb/internal/token"
 	"doppiodb/internal/topdown"
@@ -108,5 +109,61 @@ func TestTopdownDeterministic(t *testing.T) {
 	_, b := topdownSystem(t, 2, 10_000)
 	if *a.Topdown != *b.Topdown {
 		t.Errorf("attributions differ:\n  a: %+v\n  b: %+v", *a.Topdown, *b.Topdown)
+	}
+}
+
+// A query's HWStats is nothing but its jobs' completion records summed: a
+// 4-engine Q2, then the same partitions replayed through the HAL by hand,
+// must add up — traffic, buckets and the window covering the jobs — to
+// exactly what Exec reported.
+func TestTopdownHWStatsSumJobCompletions(t *testing.T) {
+	dep := fpga.DefaultDeployment()
+	dep.Engines = 4
+	s, err := NewSystem(Options{Deployment: &dep, RegionBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	tbl, _ := loadTable(t, s, 30_000, workload.HitQ2, 0.2)
+	col, _ := tbl.Column("address_string")
+	ctx := context.Background()
+	first := s.HAL.SimEpoch()
+	res, err := s.Exec(ctx, col.Strs, workload.Q2, token.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cp, _, err := s.compilePattern(workload.Q2, token.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := bat.NewShorts(s.Region, col.Strs.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.SetLen(col.Strs.Count()); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := s.submitPartitioned(ctx, cp.vec, col.Strs, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := s.HAL.SimEpoch()
+	comps, err := s.HAL.Run(ctx, jobs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := HWStats{Jobs: len(comps)}
+	for _, c := range comps {
+		want.Add(c.JobLedger)
+		if c.HWTime() > want.Time {
+			want.Time = c.HWTime()
+		}
+	}
+	// The replay ran one round later on the continuous timeline.
+	want.Start -= replay - first
+	want.Done -= replay - first
+	if want.Jobs != 4 || res.HW != want {
+		t.Errorf("HWStats = %+v\nsum of the %d job completions = %+v", res.HW, want.Jobs, want)
 	}
 }

@@ -164,12 +164,10 @@ func TestMemObserverCoalescesGrants(t *testing.T) {
 	o := NewMemObserver(r, 1000*sim.Microsecond)
 
 	// Three back-to-back grants, a link idle gap, then one more.
-	o.JobStart(0, 0, 0)
 	o.Grant(0, 16, 0, 100)
 	o.Grant(0, 16, 100, 200)
 	o.Grant(1, 16, 200, 300) // different engine, still contiguous: same burst
 	o.Grant(0, 16, 500, 600) // gap: new burst
-	o.JobDone(0, 0, 600)
 	o.Flush()
 
 	var bursts []Event
@@ -192,11 +190,6 @@ func TestMemObserverCoalescesGrants(t *testing.T) {
 	}
 	if bursts[1].Arg != 16 {
 		t.Fatalf("second burst = %d lines, want 16", bursts[1].Arg)
-	}
-
-	start, end, ok := o.JobWindow(0, 0)
-	if !ok || start != 0 || end != 600 {
-		t.Fatalf("JobWindow = (%v, %v, %v), want (0, 600, true)", start, end, ok)
 	}
 }
 

@@ -1,7 +1,10 @@
 // MemObserver adapts the recorder to the memory-model simulation: it
 // satisfies memmodel.Observer structurally (both packages depend only on
 // internal/sim, so no import is needed) and turns the simulation's
-// per-grant callbacks into a bounded stream of timeline events.
+// per-grant callbacks into a bounded stream of timeline events. It renders
+// the link's activity only; which job a grant served, and when each job
+// started and finished, is memmodel's per-job ledger (Result.PerJob), which
+// the HAL reads for the job-exec windows.
 //
 // A fully utilized QPI link issues one 16-line grant every ~790 ns — tens
 // of thousands per job — so recording each grant would thrash the ring and
@@ -17,15 +20,6 @@ import (
 	"doppiodb/internal/sim"
 )
 
-// jobKey identifies one job in a drain batch.
-type jobKey struct{ engine, job int }
-
-// window is a [start, end) interval on the batch-local timeline.
-type window struct {
-	start, end sim.Time
-	started    bool
-}
-
 // MemObserver collects the simulated timeline of one arbitration round. It is
 // used single-threaded inside memmodel.Simulate; Flush must be called after
 // the simulation to emit the trailing grant burst.
@@ -38,34 +32,12 @@ type MemObserver struct {
 		start, end   sim.Time
 		lines, count int64
 	}
-	windows map[jobKey]window
 }
 
 // NewMemObserver creates an observer recording into rec with batch-local
 // times offset by base.
 func NewMemObserver(rec *Recorder, base sim.Time) *MemObserver {
-	return &MemObserver{rec: rec, base: base, windows: make(map[jobKey]window)}
-}
-
-// JobStart marks the first arbiter consideration of (engine, job).
-func (o *MemObserver) JobStart(engine, job int, at sim.Time) {
-	k := jobKey{engine, job}
-	w := o.windows[k]
-	if !w.started {
-		w.start, w.started = at, true
-		o.windows[k] = w
-	}
-}
-
-// JobDone marks the completion of (engine, job).
-func (o *MemObserver) JobDone(engine, job int, at sim.Time) {
-	k := jobKey{engine, job}
-	w := o.windows[k]
-	w.end = at
-	if !w.started {
-		w.start, w.started = at, true
-	}
-	o.windows[k] = w
+	return &MemObserver{rec: rec, base: base}
 }
 
 // Grant records one arbiter grant's service window, merging it into the
@@ -115,10 +87,4 @@ func (o *MemObserver) flushBurst() {
 		Arg:    b.lines,
 	})
 	b.active = false
-}
-
-// JobWindow returns the batch-local execution window of (engine, job).
-func (o *MemObserver) JobWindow(engine, job int) (start, end sim.Time, ok bool) {
-	w, ok := o.windows[jobKey{engine, job}]
-	return w.start, w.end, ok && w.started
 }

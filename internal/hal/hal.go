@@ -90,7 +90,6 @@ type Job struct {
 	region     *shmem.Region
 	hal        *HAL
 	penalty    sim.Time // watchdog/retry latency accrued before success
-	completed  sim.Time // round-relative completion, stamped by the runtime
 	comp       Completion
 	finished   bool
 	canceled   bool
@@ -139,7 +138,7 @@ func (j *Job) Completion() (sim.Time, error) {
 		}
 		return 0, ErrCanceled
 	}
-	return j.completed, nil
+	return j.comp.HWTime(), nil
 }
 
 // blockOffset is the job's status block offset inside the pool slab.
@@ -192,6 +191,10 @@ type HAL struct {
 	tdRounds  int64
 	health    []engineHealth
 	dsmAddr   shmem.Addr
+	// dsmMu guards the DSM handshake words: submitters verify (and the
+	// injector clobbers) them without h.mu, concurrently with each other
+	// and with health probes.
+	dsmMu     sync.Mutex
 	poolAddr  shmem.Addr
 	poolNext  int
 	blockFree []blockRef
@@ -316,6 +319,8 @@ func (h *HAL) AFUPresent() bool {
 	if err != nil {
 		return false
 	}
+	h.dsmMu.Lock()
+	defer h.dsmMu.Unlock()
 	return binary.LittleEndian.Uint32(dsm[0:]) == dsmMagic &&
 		binary.LittleEndian.Uint32(dsm[4:]) == afuID
 }

@@ -314,8 +314,10 @@ func (h *HAL) rehandshake() {
 	if err != nil {
 		return
 	}
+	h.dsmMu.Lock()
 	binary.LittleEndian.PutUint32(dsm[0:], dsmMagic)
 	binary.LittleEndian.PutUint32(dsm[4:], afuID)
+	h.dsmMu.Unlock()
 	h.tel.Counter("hal.rehandshakes").Inc()
 }
 
@@ -325,7 +327,9 @@ func (h *HAL) rehandshake() {
 func (h *HAL) checkHandshake() {
 	if h.inj.Hit(faults.HandshakeLoss) {
 		if dsm, err := h.region.Bytes(h.dsmAddr); err == nil {
+			h.dsmMu.Lock()
 			h.inj.Clobber(dsm[:8])
+			h.dsmMu.Unlock()
 		}
 	}
 	if !h.AFUPresent() {

@@ -11,9 +11,12 @@
 // at the current epoch of the continuous simulated timeline. A lone
 // query's round therefore contains exactly its own jobs, which keeps
 // single-client timings bit-identical to the historical synchronous
-// Drain. Per-job attribution (bytes, grants, switches, link-busy time)
-// is collected by observing the arbiter's grant stream, so concurrent
-// queries sharing a round each see only their own traffic.
+// Drain. Per-job attribution (service window, bytes, grants, switches,
+// link-busy time, engine-cycle buckets) is memmodel's per-job ledger: the
+// runtime carries Result.PerJob into each Completion — rebased onto the
+// continuous timeline, plus the parametrization it charges itself — and
+// recounts nothing, so concurrent queries sharing a round each see only
+// their own traffic.
 package hal
 
 import (
@@ -36,29 +39,23 @@ const DefaultAdmissionCap = 4
 const roundGap = 1 * sim.Microsecond
 
 // Completion is the per-job completion record the runtime delivers through
-// Job.Await. All times are on the continuous simulated timeline; the
-// traffic fields count only this job's share of the round, so a query
-// summing its own jobs never sees a concurrent query's bytes.
+// Job.Await: the memory model's ledger of the job, carried as produced,
+// plus what only the runtime knows. All times are on the continuous
+// simulated timeline; the traffic fields count only this job's share of
+// the round, so a query summing its own jobs never sees a concurrent
+// query's bytes.
 type Completion struct {
+	// JobLedger is the job's share of its round. The runtime rebases Start
+	// and Done onto the continuous timeline — Done also gains the
+	// parametrization and any accrued watchdog penalty — and adds the one
+	// bucket the memory system does not charge: Config = ParametrizeTime
+	// (Wall grows with it). The per-query analyzer folds the buckets into
+	// the bottleneck verdict.
+	memmodel.JobLedger
 	// Enqueued is when Dispatch placed the job's group in the backlog.
 	Enqueued sim.Time
 	// Admitted is the start of the arbitration round that ran the job.
 	Admitted sim.Time
-	// Done is the job's completion (parametrization and any accrued
-	// watchdog penalty included).
-	Done sim.Time
-	// Bytes, Grants and Switches are the QPI traffic the arbiter moved
-	// for this job.
-	Bytes    int64
-	Grants   int64
-	Switches int64
-	// LinkBusy is the link service time of this job's grants.
-	LinkBusy sim.Time
-	// Buckets classifies the job's engine cycles (busy / stall-input /
-	// stall-switch / stall-output / config); Wall is their sum — jobs do
-	// not own their engine's idle tail. The per-query analyzer folds
-	// these into the bottleneck verdict.
-	Buckets topdown.Buckets
 }
 
 // QueueWait is the time the job's group spent in the backlog.
@@ -368,9 +365,9 @@ func (h *HAL) fitsRound(load []int, g *jobGroup) bool {
 }
 
 // runRound executes one arbitration round: the deterministic QPI/engine
-// simulation over the admitted queues, per-job attribution and completion
-// stamping, status scrubbing, flight-recorder timelines, round telemetry,
-// and the epoch advance. It mirrors the historical Drain exactly for a
+// simulation over the admitted queues, completion stamping from its
+// per-job ledgers, status scrubbing, flight-recorder timelines, round
+// telemetry, and the epoch advance. It mirrors the historical Drain exactly for a
 // round holding a single query's jobs.
 func (h *HAL) runRound(epoch sim.Time, params memmodel.Params, queues [][]memmodel.Job, jobs [][]*Job) {
 	if f := h.inj.QPIFactor(); f > 0 {
@@ -379,14 +376,13 @@ func (h *HAL) runRound(epoch sim.Time, params memmodel.Params, queues [][]memmod
 		h.tel.Counter("hal.faults.qpi_degraded").Inc()
 	}
 	// The flight recorder observes the simulation (grant bursts, phase
-	// switches); the attribution observer charges the same stream to the
-	// job each grant served.
+	// switches). Trace is an interface: it stays untyped-nil on a detached
+	// HAL, so Simulate pays nothing per grant.
 	var mobs *flightrec.MemObserver
 	if h.rec != nil {
 		mobs = flightrec.NewMemObserver(h.rec, epoch)
+		params.Trace = mobs
 	}
-	att := newAttribution(queues, params.LineBytes, mobs)
-	params.Trace = att
 	res := memmodel.Simulate(params, queues)
 	if mobs != nil {
 		mobs.Flush()
@@ -396,36 +392,17 @@ func (h *HAL) runRound(epoch sim.Time, params memmodel.Params, queues [][]memmod
 	h.mu.Lock()
 	for e := range jobs {
 		for k, j := range jobs[e] {
-			j.completed = res.Done[e][k] + ParametrizeTime + j.penalty
-			a := att.per[e][k]
 			pj := res.PerJob[e][k]
-			buckets := topdown.Buckets{
-				Busy:        pj.Busy,
-				StallInput:  pj.StallInput,
-				StallSwitch: pj.StallSwitch,
-				StallOutput: pj.StallOutput,
-				Config:      ParametrizeTime,
-			}
-			buckets.Wall = buckets.Sum()
-			j.comp = Completion{
-				Enqueued: j.group.enqueued,
-				Admitted: epoch,
-				Done:     epoch + j.completed,
-				Bytes:    a.bytes,
-				Grants:   a.grants,
-				Switches: a.switches,
-				LinkBusy: a.busy,
-				Buckets:  buckets,
-			}
+			j.comp = Completion{JobLedger: pj, Enqueued: j.group.enqueued, Admitted: epoch}
+			j.comp.Start += epoch
+			j.comp.Done += epoch + ParametrizeTime + j.penalty
+			j.comp.Buckets.Config = ParametrizeTime
+			j.comp.Buckets.Wall += ParametrizeTime
 			j.finished = true
 			h.queueWait.Observe(int64(j.comp.QueueWait() / sim.Nanosecond))
 			h.scrubStatusLocked(j)
-			if mobs != nil {
-				start, end, ok := mobs.JobWindow(e, k)
-				if !ok {
-					start, end = 0, j.completed-j.penalty
-				}
-				h.recordJobTimelineLocked(e, j, start, end)
+			if h.rec != nil {
+				h.recordJobTimelineLocked(e, j, pj.Start, pj.Done)
 			}
 			h.queueLen--
 			h.queuedVol[e] -= int64(j.Timing.TotalBytes())
@@ -437,17 +414,9 @@ func (h *HAL) runRound(epoch sim.Time, params memmodel.Params, queues [][]memmod
 	// bucket; it extends the engine's wall beyond the shared simulation
 	// span, so conservation stays exact per engine by construction.
 	var roundTotal topdown.Buckets
-	for e, led := range res.Engines {
-		cfg := sim.Time(len(jobs[e])) * ParametrizeTime
-		b := topdown.Buckets{
-			Busy:        led.Busy,
-			StallInput:  led.StallInput,
-			StallSwitch: led.StallSwitch,
-			StallOutput: led.StallOutput,
-			Config:      cfg,
-			Idle:        led.Idle,
-			Wall:        led.Wall + cfg,
-		}
+	for e, b := range res.Engines {
+		b.Config = sim.Time(len(jobs[e])) * ParametrizeTime
+		b.Wall += b.Config
 		h.tdEngines[e].Add(b)
 		roundTotal.Add(b)
 		if h.rec != nil && b.Wall > 0 {
@@ -465,12 +434,7 @@ func (h *HAL) runRound(epoch sim.Time, params memmodel.Params, queues [][]memmod
 			})
 		}
 	}
-	link := topdown.LinkBuckets{
-		Busy:        res.Link.Busy,
-		Arbitration: res.Link.Arbitration,
-		Idle:        res.Link.Idle,
-		Wall:        res.Link.Wall,
-	}
+	link := res.Link
 	h.tdLink.Add(link)
 	h.tdRounds++
 	if h.rec != nil && link.Wall > 0 {
@@ -528,80 +492,5 @@ func (h *HAL) runRound(epoch sim.Time, params memmodel.Params, queues [][]memmod
 	h.mu.Unlock()
 	for _, j := range completed {
 		close(j.done)
-	}
-}
-
-// jobAttr accumulates one job's share of a round's arbiter activity.
-type jobAttr struct {
-	bytes, grants, switches int64
-	busy                    sim.Time
-}
-
-// attribution satisfies memmodel.Observer: it tracks which job each engine
-// is currently serving and charges every grant and phase switch to it,
-// forwarding the stream to the flight recorder's observer. The arbiter
-// charges the inter-job switch stall to the job entering the engine (it
-// pays the entry turn), matching how a query experiences it.
-type attribution struct {
-	lineBytes int64
-	cur       []int
-	per       [][]jobAttr
-	fwd       *flightrec.MemObserver
-}
-
-func newAttribution(queues [][]memmodel.Job, lineBytes int, fwd *flightrec.MemObserver) *attribution {
-	a := &attribution{
-		lineBytes: int64(lineBytes),
-		cur:       make([]int, len(queues)),
-		per:       make([][]jobAttr, len(queues)),
-		fwd:       fwd,
-	}
-	for e, q := range queues {
-		a.per[e] = make([]jobAttr, len(q))
-	}
-	return a
-}
-
-// at returns engine e's current job accumulator (clamped, so a trailing
-// callback after the last job charges the last job).
-func (a *attribution) at(e int) *jobAttr {
-	if len(a.per[e]) == 0 {
-		return &jobAttr{}
-	}
-	k := a.cur[e]
-	if k >= len(a.per[e]) {
-		k = len(a.per[e]) - 1
-	}
-	return &a.per[e][k]
-}
-
-func (a *attribution) JobStart(e, k int, at sim.Time) {
-	a.cur[e] = k
-	if a.fwd != nil {
-		a.fwd.JobStart(e, k, at)
-	}
-}
-
-func (a *attribution) JobDone(e, k int, at sim.Time) {
-	a.cur[e] = k + 1 // boundary activity belongs to the next job
-	if a.fwd != nil {
-		a.fwd.JobDone(e, k, at)
-	}
-}
-
-func (a *attribution) Grant(e int, lines int64, start, end sim.Time) {
-	j := a.at(e)
-	j.bytes += lines * a.lineBytes
-	j.grants++
-	j.busy += end - start
-	if a.fwd != nil {
-		a.fwd.Grant(e, lines, start, end)
-	}
-}
-
-func (a *attribution) PhaseSwitch(e int, at sim.Time) {
-	a.at(e).switches++
-	if a.fwd != nil {
-		a.fwd.PhaseSwitch(e, at)
 	}
 }

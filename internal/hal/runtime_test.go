@@ -3,10 +3,14 @@ package hal
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"doppiodb/internal/engine"
+	"doppiodb/internal/flightrec"
 	"doppiodb/internal/memmodel"
 	"doppiodb/internal/sim"
+	"doppiodb/internal/topdown"
 )
 
 // TestAdmissionCapSplitsRounds pins more single-job groups to one engine
@@ -170,17 +174,28 @@ func TestCloseCancelsBacklog(t *testing.T) {
 // TestRoundMatchesDirectSimulate is the bit-identity anchor: one group's
 // round through the asynchronous runtime must reproduce, per job, exactly
 // what a direct memmodel.Simulate over the same queues computes, and the
-// per-job attribution must sum to the round's global counters.
+// per-job attribution must sum to the round's global counters. The round is
+// seeded — engine 0 carries two jobs, so the inter-job switch charged to
+// the entering job is in it, and the big jobs span two offset batches — and
+// every job's Completion and every EvEngineConfig / EvJobExec window is
+// pinned to the literals captured before memmodel's per-job ledger replaced
+// the HAL's own grant-stream attribution.
 func TestRoundMatchesDirectSimulate(t *testing.T) {
 	h, region := newHAL(t)
-	rows := make([]string, 64)
-	for i := range rows {
-		rows[i] = "John|Smith|44 Koblenzer Strasse|60327|Frankfurt"
+	rec := flightrec.New(0)
+	h.SetRecorder(rec)
+	big := make([]string, 9000)
+	for i := range big {
+		big[i] = "John|Smith|44 Koblenzer Strasse|60327|Frankfurt"
 	}
-	p, _, _ := buildParams(t, region, `Strasse`, rows)
+	pBig, _, _ := buildParams(t, region, `Strasse`, big)
+	pSmall, _, _ := buildParams(t, region, `Strasse`, big[:64])
 	var jobs []*Job
-	for e := 0; e < 3; e++ {
-		j, err := h.SubmitTo(e, p)
+	for _, sub := range []struct {
+		engine int
+		p      engine.JobParams
+	}{{0, pBig}, {1, pBig}, {2, pBig}, {0, pSmall}} {
+		j, err := h.SubmitTo(sub.engine, sub.p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,14 +206,16 @@ func TestRoundMatchesDirectSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	queues := make([][]memmodel.Job, h.Engines())
-	for _, j := range jobs {
+	slot := make([]int, len(jobs))
+	for i, j := range jobs {
+		slot[i] = len(queues[j.Engine])
 		queues[j.Engine] = append(queues[j.Engine], j.Timing)
 	}
 	res := memmodel.Simulate(*h.Params(), queues)
 	var bytes, grants, switches int64
 	var busy sim.Time
 	for i, j := range jobs {
-		if want := res.Done[j.Engine][0] + ParametrizeTime; comps[i].HWTime() != want {
+		if want := res.Done[j.Engine][slot[i]] + ParametrizeTime; comps[i].HWTime() != want {
 			t.Errorf("job %d hardware time %v, direct simulation %v", i, comps[i].HWTime(), want)
 		}
 		bytes += comps[i].Bytes
@@ -209,5 +226,50 @@ func TestRoundMatchesDirectSimulate(t *testing.T) {
 	if bytes != res.BytesMoved || grants != res.Grants || switches != res.Switches || busy != res.BusyTime {
 		t.Errorf("attribution sums (bytes %d grants %d switches %d busy %v) != round totals (%d %d %d %v)",
 			bytes, grants, switches, busy, res.BytesMoved, res.Grants, res.Switches, res.BusyTime)
+	}
+	// Captured at the parent commit (hal.attribution + MemObserver windows;
+	// Start is where the parent's job-exec window opened). The round starts
+	// at epoch 0 and the group never queued, so Enqueued = Admitted = 0.
+	ledger := func(start, done sim.Time, bytes, grants, switches int64, linkBusy,
+		busy, in, sw, out, wall sim.Time) Completion {
+		return Completion{JobLedger: memmodel.JobLedger{
+			Start: start, Done: done, Bytes: bytes, Grants: grants, Switches: switches, LinkBusy: linkBusy,
+			Buckets: topdown.Buckets{Busy: busy, StallInput: in, StallSwitch: sw, StallOutput: out,
+				Config: ParametrizeTime, Wall: wall}}}
+	}
+	for i, want := range []Completion{
+		ledger(0, 269845528, 558080, 547, 3, 85857120, 84380000, 169746144, 12600000, 2820000, 269846144),
+		ledger(157536, 269884912, 558080, 547, 3, 85857120, 84380000, 169785528, 12600000, 2820000, 269885528),
+		ledger(315072, 269924296, 558080, 547, 3, 85857120, 84380000, 169824912, 12600000, 2820000, 269924912),
+		ledger(273746144, 278864604, 3968, 5, 2, 610452, 600000, 0, 8400000, 20000, 9320000),
+	} {
+		if comps[i] != want {
+			t.Errorf("job %d completion = %+v, parent's was %+v", i, comps[i], want)
+		}
+	}
+	type window struct {
+		typ      flightrec.Type
+		engine   int
+		job      int64
+		sim, dur sim.Time
+	}
+	var windows []window
+	for _, ev := range rec.Window() {
+		if ev.Type == flightrec.EvEngineConfig || ev.Type == flightrec.EvJobExec {
+			windows = append(windows, window{ev.Type, ev.Engine, ev.Job, ev.Sim, ev.Dur})
+		}
+	}
+	wantWindows := []window{
+		{flightrec.EvEngineConfig, 0, 1, 0, 300000},
+		{flightrec.EvJobExec, 0, 1, 0, 269845528},
+		{flightrec.EvEngineConfig, 0, 4, 273746144, 300000},
+		{flightrec.EvJobExec, 0, 4, 273746144, 5118460},
+		{flightrec.EvEngineConfig, 1, 2, 157536, 300000},
+		{flightrec.EvJobExec, 1, 2, 157536, 269727376},
+		{flightrec.EvEngineConfig, 2, 3, 315072, 300000},
+		{flightrec.EvJobExec, 2, 3, 315072, 269609224},
+	}
+	if !reflect.DeepEqual(windows, wantWindows) {
+		t.Errorf("job timeline windows = %v, parent's were %v", windows, wantWindows)
 	}
 }

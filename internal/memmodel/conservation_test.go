@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"doppiodb/internal/bat"
-	"doppiodb/internal/sim"
+	"doppiodb/internal/topdown"
 )
 
 // The topdown accounting's hard invariant: every simulated engine cycle
@@ -42,6 +42,7 @@ func checkConservation(t *testing.T, p Params, queues [][]Job, res Result) {
 		t.Errorf("link ledger not conserved: busy %v + arb %v + idle %v = %v, wall %v",
 			res.Link.Busy, res.Link.Arbitration, res.Link.Idle, res.Link.Sum(), res.Link.Wall)
 	}
+	var total JobLedger
 	for e, led := range res.Engines {
 		if !led.Conserved() {
 			t.Errorf("engine %d ledger not conserved: sum %v, wall %v", e, led.Sum(), led.Wall)
@@ -49,20 +50,26 @@ func checkConservation(t *testing.T, p Params, queues [][]Job, res Result) {
 		if led.Wall != res.Link.Wall {
 			t.Errorf("engine %d wall %v != link wall %v", e, led.Wall, res.Link.Wall)
 		}
-		// Per-job buckets partition the engine's active (non-idle) time:
-		// their sums must telescope exactly back to the engine ledger.
-		var busy, in, sw, out sim.Time
+		// Per-job ledgers partition the engine's active (non-idle) time:
+		// their sums must telescope exactly back to the engine ledger, each
+		// job's own wall closes over its buckets, and its service window
+		// ends at the completion time Done reports.
+		var jobs topdown.Buckets
 		var bytes int64
-		for _, jb := range res.PerJob[e] {
-			busy += jb.Busy
-			in += jb.StallInput
-			sw += jb.StallSwitch
-			out += jb.StallOutput
+		for k, jb := range res.PerJob[e] {
+			jobs.Add(jb.Buckets)
 			bytes += jb.Bytes
+			total.Add(jb)
+			if !jb.Buckets.Conserved() || jb.Buckets.Idle != 0 || jb.Buckets.Config != 0 {
+				t.Errorf("engine %d job %d buckets not closed over busy+stalls: %+v", e, k, jb.Buckets)
+			}
+			if jb.Start > jb.Done || jb.Done != res.Done[e][k] {
+				t.Errorf("engine %d job %d window [%v, %v], Done[e][k] = %v", e, k, jb.Start, jb.Done, res.Done[e][k])
+			}
 		}
-		if busy != led.Busy || in != led.StallInput || sw != led.StallSwitch || out != led.StallOutput {
-			t.Errorf("engine %d per-job sums (busy %v, in %v, sw %v, out %v) != ledger (%v, %v, %v, %v)",
-				e, busy, in, sw, out, led.Busy, led.StallInput, led.StallSwitch, led.StallOutput)
+		jobs.Idle, jobs.Wall = led.Idle, led.Wall
+		if jobs != led {
+			t.Errorf("engine %d per-job sums %+v != ledger %+v", e, jobs, led)
 		}
 		var want int64
 		for _, j := range queues[e] {
@@ -72,6 +79,17 @@ func checkConservation(t *testing.T, p Params, queues [][]Job, res Result) {
 		if bytes != want {
 			t.Errorf("engine %d per-job bytes %d != line-rounded queue volume %d", e, bytes, want)
 		}
+	}
+	// The link-side counters are the per-job ledgers summed: nothing the
+	// arbiter moved is unowned, nothing is counted twice.
+	if total.Bytes != res.BytesMoved || total.Grants != res.Grants ||
+		total.Switches != res.Switches || total.LinkBusy != res.BusyTime {
+		t.Errorf("per-job sums (bytes %d grants %d switches %d busy %v) != result totals (%d %d %d %v)",
+			total.Bytes, total.Grants, total.Switches, total.LinkBusy,
+			res.BytesMoved, res.Grants, res.Switches, res.BusyTime)
+	}
+	if total.Done != res.Finish {
+		t.Errorf("latest job completion %v != the link's finish %v", total.Done, res.Finish)
 	}
 }
 

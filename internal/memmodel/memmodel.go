@@ -14,10 +14,18 @@
 //     engines add nothing (Figure 8's 30.7 → 34.4 → flat shape).
 //
 // The simulation is event-driven and fully deterministic.
+//
+// Simulate is also the one place a job's device accounting is produced:
+// Result.PerJob holds, per job, its service window, the QPI traffic the
+// arbiter granted it and its engine-cycle buckets (JobLedger). The layers
+// above — hal.Completion, core.HWStats, EXPLAIN ANALYZE, the topdown
+// verdict — carry and sum that record; none of them recounts the grant
+// stream.
 package memmodel
 
 import (
 	"doppiodb/internal/sim"
+	"doppiodb/internal/topdown"
 )
 
 // Params are the platform constants. All bandwidths are bytes/second.
@@ -44,19 +52,16 @@ type Params struct {
 	// calibrated so a lone engine lands at the measured 5.89 GB/s.
 	SwitchLatency sim.Time
 	// Trace, when non-nil, receives timeline callbacks from Simulate
-	// (grant service windows, phase switches, job start/completion). The
-	// flight recorder's MemObserver satisfies it; nil costs nothing.
+	// (grant service windows, phase switches). The flight recorder's
+	// MemObserver satisfies it; nil costs nothing.
 	Trace Observer
 }
 
-// Observer receives the simulated timeline as Simulate advances it. Times
-// are batch-local (relative to the Simulate call's zero). Callbacks arrive
-// single-threaded in simulation order.
+// Observer receives the simulated timeline as Simulate advances it — the
+// flight recorder's grant bursts and phase-switch marks; accounting lives
+// in Result. Times are batch-local (relative to the Simulate call's zero).
+// Callbacks arrive single-threaded in simulation order.
 type Observer interface {
-	// JobStart fires when the arbiter first considers engine's job-th job.
-	JobStart(engine, job int, at sim.Time)
-	// JobDone fires when engine's job-th job completes.
-	JobDone(engine, job int, at sim.Time)
 	// Grant reports one arbiter grant of lines cache lines to engine,
 	// serviced over [start, end).
 	Grant(engine int, lines int64, start, end sim.Time)
@@ -108,7 +113,8 @@ type phase struct {
 
 // engineState walks an engine through its job queue. readyAt doubles as
 // the engine's accounting cursor: every advance of it is classified into
-// exactly one EngineLedger bucket, so the ledger telescopes to the wall.
+// exactly one bucket of the engine's ledger, so the ledger telescopes to
+// the wall.
 type engineState struct {
 	jobs      []Job
 	jobIdx    int
@@ -116,7 +122,6 @@ type engineState struct {
 	phIdx     int
 	readyAt   sim.Time
 	done      []sim.Time
-	started   bool  // current job reported to the observer
 	linesLeft int64 // remaining lines of the current job (incl. result lines)
 	resLines  int64 // result write-back lines of the current job
 }
@@ -157,67 +162,42 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// EngineLedger classifies every picosecond of one engine's simulated span
-// into exactly one bucket. The buckets telescope out of the engine's
-// ready-time cursor as Simulate advances it, so the conservation invariant
-//
-//	Busy + StallInput + StallSwitch + StallOutput + Idle == Wall
-//
-// holds exactly (no epsilon) by construction.
-type EngineLedger struct {
-	// Busy is time spent draining granted input lines (PU compute).
-	Busy sim.Time
-	// StallInput is time the engine sat ready while the arbiter serviced
-	// other engines (waiting on QPI grants).
-	StallInput sim.Time
-	// StallSwitch is the offset↔heap turnaround stalls (SwitchLatency).
-	StallSwitch sim.Time
-	// StallOutput is time draining result write-back lines through the
-	// link (the Output Collector's share of the final burst, §5.1).
-	StallOutput sim.Time
-	// Idle is time after the engine's last job (or the whole span for an
-	// engine with no jobs).
-	Idle sim.Time
-	// Wall is the common span all buckets sum to: the later of the link's
-	// finish time and the slowest engine's drain.
-	Wall sim.Time
+// JobLedger is one job's device accounting, produced by Simulate and
+// carried by every layer above (hal.Completion and core.HWStats embed it). Boundary activity — the inter-job switch — is charged to the
+// job entering the engine: it pays the entry turn.
+type JobLedger struct {
+	// Start is when the arbiter first served the job, Done when its last
+	// line was granted; both on the caller's timeline (batch-local out of
+	// Simulate, the continuous device timeline once the HAL rebased them).
+	Start, Done sim.Time
+	// Bytes (line-rounded), Grants and Switches are the QPI traffic the
+	// arbiter moved for this job; LinkBusy is the link service time of its
+	// grants.
+	Bytes    int64
+	Grants   int64
+	Switches int64
+	LinkBusy sim.Time
+	// Buckets classifies the job's engine cycles. Jobs own no idle — not
+	// the post-completion tail — so Wall is the sum of the other buckets,
+	// and over an engine's jobs each bucket sums exactly to the engine
+	// ledger's.
+	Buckets topdown.Buckets
 }
 
-// Sum returns the bucket total; Conserved checks it equals Wall exactly.
-func (l EngineLedger) Sum() sim.Time {
-	return l.Busy + l.StallInput + l.StallSwitch + l.StallOutput + l.Idle
-}
-
-// Conserved reports whether the ledger's buckets sum exactly to its wall.
-func (l EngineLedger) Conserved() bool { return l.Sum() == l.Wall }
-
-// LinkLedger is the QPI link's parallel accounting: transferring (Busy),
-// waiting for any engine to turn around while work is pending
-// (Arbitration), or past the last service (Idle). Busy + Arbitration +
-// Idle == Wall exactly.
-type LinkLedger struct {
-	Busy        sim.Time
-	Arbitration sim.Time
-	Idle        sim.Time
-	Wall        sim.Time
-}
-
-// Sum returns the bucket total; Conserved checks it equals Wall exactly.
-func (l LinkLedger) Sum() sim.Time { return l.Busy + l.Arbitration + l.Idle }
-
-// Conserved reports whether the ledger's buckets sum exactly to its wall.
-func (l LinkLedger) Conserved() bool { return l.Sum() == l.Wall }
-
-// JobBuckets is one job's share of its engine's ledger (no idle: jobs do
-// not own the post-completion tail). Summed over an engine's jobs the
-// fields equal the engine ledger's corresponding buckets exactly.
-type JobBuckets struct {
-	Busy        sim.Time
-	StallInput  sim.Time
-	StallSwitch sim.Time
-	StallOutput sim.Time
-	// Bytes is the QPI traffic granted to this job (line-rounded).
-	Bytes int64
+// Add folds o into l: traffic and cycles sum, and the [Start, Done] window
+// widens to cover o's (the zero ledger takes o's window).
+func (l *JobLedger) Add(o JobLedger) {
+	if *l == (JobLedger{}) || o.Start < l.Start {
+		l.Start = o.Start
+	}
+	if o.Done > l.Done {
+		l.Done = o.Done
+	}
+	l.Bytes += o.Bytes
+	l.Grants += o.Grants
+	l.Switches += o.Switches
+	l.LinkBusy += o.LinkBusy
+	l.Buckets.Add(o.Buckets)
 }
 
 // Result of a simulation.
@@ -236,14 +216,20 @@ type Result struct {
 	// Switches counts offset↔heap phase turns that charged SwitchLatency
 	// — the stall events a lone engine cannot hide (§7.3).
 	Switches int64
-	// Engines[e] is engine e's cycle-conservation ledger over the span.
-	Engines []EngineLedger
-	// PerJob[e][k] classifies engine e's k-th job's cycles. Boundary
-	// activity (the inter-job switch) is charged to the entering job,
-	// matching the HAL's per-job attribution.
-	PerJob [][]JobBuckets
-	// Link is the QPI link's busy/arbitration/idle ledger.
-	Link LinkLedger
+	// Engines[e] is engine e's cycle-conservation ledger over the span:
+	// every picosecond in exactly one bucket, telescoped out of the
+	// engine's ready-time cursor, so Busy + StallInput + StallSwitch +
+	// StallOutput + Idle == Wall holds exactly (no epsilon). Wall is the
+	// later of the link's finish and the slowest engine's drain; Config is
+	// not the memory system's to charge and stays zero.
+	Engines []topdown.Buckets
+	// PerJob[e][k] is the ledger of engine e's k-th job; its Done equals
+	// Done[e][k].
+	PerJob [][]JobLedger
+	// Link is the QPI link's parallel ledger: transferring (Busy), waiting
+	// for any engine to turn around while work is pending (Arbitration),
+	// or past the last service (Idle); they sum to Wall exactly.
+	Link topdown.LinkBuckets
 }
 
 // Utilization returns the QPI link utilization over the simulated span.
@@ -272,11 +258,11 @@ func Simulate(p Params, queues [][]Job) Result {
 	var moved int64
 	res := Result{
 		Done:    make([][]sim.Time, len(queues)),
-		Engines: make([]EngineLedger, len(queues)),
-		PerJob:  make([][]JobBuckets, len(queues)),
+		Engines: make([]topdown.Buckets, len(queues)),
+		PerJob:  make([][]JobLedger, len(queues)),
 	}
 	for i, q := range queues {
-		res.PerJob[i] = make([]JobBuckets, len(q))
+		res.PerJob[i] = make([]JobLedger, len(q))
 	}
 	rr := 0 // round-robin arbiter pointer
 	for {
@@ -312,12 +298,13 @@ func Simulate(p Params, queues [][]Job) Result {
 			now = soonest
 			continue
 		}
-		// Grant up to GrantLines from the engine's current phase.
-		if !pick.started {
-			pick.started = true
-			if p.Trace != nil {
-				p.Trace.JobStart(pickIdx, pick.jobIdx, now)
-			}
+		// Grant up to GrantLines from the engine's current phase. A job's
+		// first pick always grants (only a job without any line is picked
+		// with nothing to grant, and it is picked once), so "no grant yet"
+		// marks the start of its service window.
+		jb := &res.PerJob[pickIdx][pick.jobIdx]
+		if jb.Grants == 0 {
+			jb.Start = now
 		}
 		ph := &pick.phases[pick.phIdx]
 		g := min64(ph.lines, int64(p.GrantLines))
@@ -328,13 +315,10 @@ func Simulate(p Params, queues [][]Job) Result {
 				p.Trace.Grant(pickIdx, g, now, now+service)
 			}
 			led := &res.Engines[pickIdx]
-			jb := res.jobAcct(pickIdx, pick.jobIdx)
 			// Time the engine sat ready before this grant was its turn.
 			if gap := now - pick.readyAt; gap > 0 {
 				led.StallInput += gap
-				if jb != nil {
-					jb.StallInput += gap
-				}
+				jb.Buckets.StallInput += gap
 			}
 			// The job's trailing result lines are write-back drain
 			// (stall-output), everything before them is PU compute.
@@ -347,11 +331,11 @@ func Simulate(p Params, queues [][]Job) Result {
 			outT := engLine * sim.Time(outLines)
 			led.Busy += busyT
 			led.StallOutput += outT
-			if jb != nil {
-				jb.Busy += busyT
-				jb.StallOutput += outT
-				jb.Bytes += g * int64(p.LineBytes)
-			}
+			jb.Buckets.Busy += busyT
+			jb.Buckets.StallOutput += outT
+			jb.Bytes += g * int64(p.LineBytes)
+			jb.Grants++
+			jb.LinkBusy += service
 			now += service
 			busy += service
 			moved += g * int64(p.LineBytes)
@@ -383,22 +367,8 @@ func Simulate(p Params, queues [][]Job) Result {
 		led.Idle = wall - es.readyAt
 		led.Wall = wall
 	}
-	res.Link = LinkLedger{Busy: busy, Arbitration: arb, Idle: wall - now, Wall: wall}
+	res.Link = topdown.LinkBuckets{Busy: busy, Arbitration: arb, Idle: wall - now, Wall: wall}
 	return res
-}
-
-// jobAcct returns the accounting bucket of engine e's jobIdx-th job,
-// clamped to the last job so boundary events past the queue still land
-// somewhere (mirroring the HAL attribution's clamp).
-func (r *Result) jobAcct(e, jobIdx int) *JobBuckets {
-	pj := r.PerJob[e]
-	if len(pj) == 0 {
-		return nil
-	}
-	if jobIdx >= len(pj) {
-		jobIdx = len(pj) - 1
-	}
-	return &pj[jobIdx]
 }
 
 func (es *engineState) loadJob(p Params) {
@@ -424,13 +394,14 @@ func (es *engineState) advancePhase(p Params, e int, now sim.Time, res *Result) 
 		}
 		return
 	}
-	if p.Trace != nil {
-		p.Trace.JobDone(e, es.jobIdx, now)
-	}
+	// Every charge of the finished job has landed (its last grant's drain
+	// was classified when granted), so its wall closes here.
+	jb := &res.PerJob[e][es.jobIdx]
+	jb.Done = now
+	jb.Buckets.Wall = jb.Buckets.Sum()
 	es.done = append(es.done, now)
 	es.jobIdx++
 	es.loadJob(p)
-	es.started = false
 	if es.jobIdx < len(es.jobs) {
 		es.chargeSwitch(p, e, now, res)
 		if p.Trace != nil {
@@ -442,21 +413,18 @@ func (es *engineState) advancePhase(p Params, e int, now sim.Time, res *Result) 
 // chargeSwitch advances the engine cursor across one SwitchLatency stall,
 // classifying any ready-but-unserved gap before it as stall-input. The
 // charge lands on the engine's current job — for the inter-job turn that
-// is the entering job, matching the HAL's per-job attribution.
+// is the entering job (callers only turn into a job that exists).
 func (es *engineState) chargeSwitch(p Params, e int, now sim.Time, res *Result) {
 	led := &res.Engines[e]
-	jb := res.jobAcct(e, es.jobIdx)
+	jb := &res.PerJob[e][es.jobIdx]
 	if gap := now - es.readyAt; gap > 0 {
 		led.StallInput += gap
-		if jb != nil {
-			jb.StallInput += gap
-		}
+		jb.Buckets.StallInput += gap
 		es.readyAt = now
 	}
 	led.StallSwitch += p.SwitchLatency
-	if jb != nil {
-		jb.StallSwitch += p.SwitchLatency
-	}
+	jb.Buckets.StallSwitch += p.SwitchLatency
+	jb.Switches++
 	es.readyAt += p.SwitchLatency
 	res.Switches++
 }

@@ -21,12 +21,17 @@ import (
 
 // PlacementAdvisor is the optimizer hook of the paper's §9 discussion: a
 // cost model that decides whether a REGEXP_LIKE predicate should run on
-// its software implementation or be offloaded to the hardware operator.
-// internal/core's System implements it.
+// its software implementation or be offloaded to the hardware operator,
+// and accounts for the decision either way. internal/core's System
+// implements it.
 type PlacementAdvisor interface {
-	// AdviseOffload reports whether the FPGA implementation is expected
-	// to be faster for this pattern over rows strings of avgLen bytes.
-	AdviseOffload(pattern string, rows, avgLen int) bool
+	// ExplainCost prices every candidate plan for the pattern over rows
+	// strings of avgLen bytes and returns the decision record (chosen plan
+	// + reason included); rec.Offloads() is the advice.
+	ExplainCost(pattern string, rows, avgLen int) (*explain.Record, error)
+	// FinishSoftware fills a record's actuals for a predicate that ran on
+	// the CPU scan path, from the scan's realized work.
+	FinishSoftware(rec *explain.Record, w perf.Work)
 }
 
 // Engine executes SQL over the column store.

@@ -4,37 +4,18 @@ import (
 	"context"
 
 	"doppiodb/internal/explain"
-	"doppiodb/internal/perf"
 	"doppiodb/internal/plan"
 	"doppiodb/internal/telemetry"
 )
 
-// Explainer is the richer face of the placement advisor: it returns the
-// full decision record instead of a boolean, and closes records for
-// predicates the engine keeps in software. internal/core's System
-// implements it; a PlacementAdvisor without it still works, just without
-// EXPLAIN output.
-type Explainer interface {
-	// ExplainCost prices every candidate plan for the predicate and
-	// returns the decision record (chosen plan + reason included).
-	ExplainCost(pattern string, rows, avgLen int) (*explain.Record, error)
-	// FinishSoftware fills a record's actuals for a predicate that ran on
-	// the CPU scan path, from the scan's realized work.
-	FinishSoftware(rec *explain.Record, w perf.Work)
-}
-
-// adviseRecord runs the cost model for a predicate, preferring the
-// Explainer's full record over the boolean advisor. Estimation errors
-// conservatively keep the predicate in software (matching AdviseOffload).
+// adviseRecord runs the cost model for a predicate. Estimation errors
+// conservatively keep the predicate in software.
 func (e *Engine) adviseRecord(pattern string, rows, avgLen int) (*explain.Record, bool) {
-	if ex, ok := e.Advisor.(Explainer); ok {
-		rec, err := ex.ExplainCost(pattern, rows, avgLen)
-		if err != nil {
-			return nil, false
-		}
-		return rec, rec.Offloads()
+	rec, err := e.Advisor.ExplainCost(pattern, rows, avgLen)
+	if err != nil {
+		return nil, false
 	}
-	return nil, e.Advisor.AdviseOffload(pattern, rows, avgLen)
+	return rec, rec.Offloads()
 }
 
 // explainQuery serves EXPLAIN [ANALYZE] <select>: one "plan" output column,
@@ -99,18 +80,17 @@ func (e *Engine) explainQuery(ctx context.Context, stmt *SelectStmt, root *telem
 
 // planOnlyRecord prices the candidates of a statement's hardware-eligible
 // predicate without executing it. Statements outside the recognized shapes
-// (or engines without an Explainer advisor) yield a nil record, which
-// explainQuery renders as an explanatory line.
+// (or engines without an advisor) yield a nil record, which explainQuery
+// renders as an explanatory line.
 func (e *Engine) planOnlyRecord(stmt *SelectStmt) (*explain.Record, error) {
-	ex, ok := e.Advisor.(Explainer)
-	if !ok {
+	if e.Advisor == nil {
 		return nil, nil
 	}
 	pat, forced, rows, avgLen, ok, err := e.explainTarget(stmt)
 	if err != nil || !ok {
 		return nil, err
 	}
-	rec, err := ex.ExplainCost(pat, rows, avgLen)
+	rec, err := e.Advisor.ExplainCost(pat, rows, avgLen)
 	if err != nil {
 		return nil, err
 	}

@@ -148,9 +148,7 @@ func (e *Engine) tryFastCount(ctx context.Context, stmt *SelectStmt, root *telem
 			if rec != nil {
 				// The predicate stayed in software: the realized cost is
 				// the scan's own work, priced by the calibrated model.
-				if ex, ok := e.Advisor.(Explainer); ok {
-					ex.FinishSoftware(rec, sel.Work)
-				}
+				e.Advisor.FinishSoftware(rec, sel.Work)
 			}
 			res := mk(sel.Count(), sel.Work, "regexp", nil)
 			res.Decision = rec

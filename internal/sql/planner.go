@@ -292,9 +292,7 @@ func (e *Engine) planFastCount(p *physical, root *telemetry.Span) (bool, error) 
 					// The predicate stayed in software: the realized cost
 					// is the scan's own work, priced by the calibrated
 					// model.
-					if ex, ok := e.Advisor.(Explainer); ok {
-						ex.FinishSoftware(rec, sel.Work)
-					}
+					e.Advisor.FinishSoftware(rec, sel.Work)
 				}
 				st.work.Add(sel.Work)
 				return plan.ScanOut{Tally: int64(sel.Count()), TallyOnly: true}, nil

@@ -33,35 +33,11 @@ const (
 // near 90% link busy (5.89 of 6.5 GB/s), two or more pin it at ~99%.
 const LinkSaturationPct = 97.0
 
-// QueryCycles are the analyzer's inputs: the query's phase breakdown plus
-// the engine-cycle buckets summed over its hardware jobs.
-type QueryCycles struct {
-	// Placement is the executed plan: "fpga", "hybrid" or "software".
-	Placement string
-	// Degraded marks a hardware query that fell back to software.
-	Degraded bool
-	// Software is the CPU-side time: scan setup, UDF, software regex
-	// (hybrid post-pass or full fallback) and retry backoff.
-	Software sim.Time
-	// ConfigGen is the regex→config-vector generation time. Zero when the
-	// compiled-config cache hit — the golden "cached rerun" signature.
-	ConfigGen sim.Time
-	// Queue is the fabric admission wait.
-	Queue sim.Time
-	// Hardware is the admission→completion window of the slowest job.
-	Hardware sim.Time
-	// Total is the query's end-to-end simulated time.
-	Total sim.Time
-	// LinkBusy is the link service time attributable to this query's jobs.
-	LinkBusy sim.Time
-	// Buckets is the engine-cycle classification summed over the query's
-	// jobs (per-job Completion buckets).
-	Buckets Buckets
-}
-
-// Attribution is the analyzer's verdict record, stamped onto the EXPLAIN
-// ANALYZE record and the wide-event query log. Deterministic: every field
-// derives from simulated time via integer math.
+// Attribution is the analyzer's record, stamped onto the EXPLAIN ANALYZE
+// record and the wide-event query log: the caller fills the query's phase
+// times and job buckets in, Analyze derives the verdict and the two
+// percentages from them. Deterministic: every field derives from simulated
+// time via integer math.
 type Attribution struct {
 	Verdict Verdict `json:"verdict"`
 	// DominantPct is the dominant bucket's share in percent: of engine
@@ -69,60 +45,65 @@ type Attribution struct {
 	DominantPct float64 `json:"dominant_pct"`
 	// LinkBusyPct is the QPI link's busy share of the query's hardware
 	// window.
-	LinkBusyPct float64  `json:"link_busy_pct"`
-	Software    sim.Time `json:"software_ps"`
-	ConfigGen   sim.Time `json:"config_gen_ps"`
-	Queue       sim.Time `json:"queue_ps"`
-	Hardware    sim.Time `json:"hardware_ps"`
-	Total       sim.Time `json:"total_ps"`
-	Buckets     Buckets  `json:"buckets"`
+	LinkBusyPct float64 `json:"link_busy_pct"`
+	// Software is the CPU-side time: scan setup, UDF, software regex
+	// (hybrid post-pass or full fallback) and retry backoff.
+	Software sim.Time `json:"software_ps"`
+	// ConfigGen is the regex→config-vector generation time. Zero when the
+	// compiled-config cache hit — the golden "cached rerun" signature.
+	ConfigGen sim.Time `json:"config_gen_ps"`
+	// Queue is the fabric admission wait.
+	Queue sim.Time `json:"queue_ps"`
+	// Hardware is the admission→completion window of the slowest job.
+	Hardware sim.Time `json:"hardware_ps"`
+	// Total is the query's end-to-end simulated time.
+	Total sim.Time `json:"total_ps"`
+	// Buckets is the engine-cycle classification summed over the query's
+	// jobs (the per-job ledgers' buckets).
+	Buckets Buckets `json:"buckets"`
 }
 
-// Analyze folds a query's cycle accounting into a bottleneck verdict.
-func Analyze(q QueryCycles) *Attribution {
-	a := &Attribution{
-		Software:  q.Software,
-		ConfigGen: q.ConfigGen,
-		Queue:     q.Queue,
-		Hardware:  q.Hardware,
-		Total:     q.Total,
-		Buckets:   q.Buckets,
+// Analyze folds a query's cycle accounting into a bottleneck verdict. a
+// holds the phase times and job buckets; placement is the executed plan
+// ("fpga", "hybrid" or "software"), degraded marks a hardware query that
+// fell back to software, and linkBusy is the link service time of the
+// query's own grants.
+func Analyze(placement string, degraded bool, linkBusy sim.Time, a Attribution) *Attribution {
+	if a.Hardware > 0 {
+		a.LinkBusyPct = Pct(linkBusy, a.Hardware)
 	}
-	if q.Hardware > 0 {
-		a.LinkBusyPct = Pct(q.LinkBusy, q.Hardware)
-	}
-	if q.Placement == "software" || q.Degraded || q.Hardware == 0 {
+	if placement == "software" || degraded || a.Hardware == 0 {
 		a.Verdict = SoftwareBound
-		a.DominantPct = Pct(q.Software, q.Total)
-		return a
+		a.DominantPct = Pct(a.Software, a.Total)
+		return &a
 	}
 	// Reconfiguration cost is generation (software) plus the per-job
 	// engine parametrization the hardware charged.
-	config := q.ConfigGen + q.Buckets.Config
+	config := a.ConfigGen + a.Buckets.Config
 	// The dominant component of the query total decides the verdict
 	// family; ties go to hardware so the cycle buckets break them.
 	switch {
-	case q.Queue > q.Hardware && q.Queue >= q.Software && q.Queue >= config:
+	case a.Queue > a.Hardware && a.Queue >= a.Software && a.Queue >= config:
 		a.Verdict = QueueBound
-		a.DominantPct = Pct(q.Queue, q.Total)
-	case q.Software > q.Hardware && q.Software >= config:
+		a.DominantPct = Pct(a.Queue, a.Total)
+	case a.Software > a.Hardware && a.Software >= config:
 		a.Verdict = SoftwareBound
-		a.DominantPct = Pct(q.Software, q.Total)
-	case config > q.Hardware:
+		a.DominantPct = Pct(a.Software, a.Total)
+	case config > a.Hardware:
 		a.Verdict = ConfigBound
-		a.DominantPct = Pct(config, q.Total)
+		a.DominantPct = Pct(config, a.Total)
 	default:
-		active := q.Buckets.Active()
-		stalled := q.Buckets.Stalled()
-		if stalled > q.Buckets.Busy || a.LinkBusyPct >= LinkSaturationPct {
+		active := a.Buckets.Active()
+		stalled := a.Buckets.Stalled()
+		if stalled > a.Buckets.Busy || a.LinkBusyPct >= LinkSaturationPct {
 			a.Verdict = MemoryBound
 			a.DominantPct = Pct(stalled, active)
 		} else {
 			a.Verdict = ComputeBound
-			a.DominantPct = Pct(q.Buckets.Busy, active)
+			a.DominantPct = Pct(a.Buckets.Busy, active)
 		}
 	}
-	return a
+	return &a
 }
 
 // Line renders the attribution as a single human-readable line (the form

@@ -10,6 +10,11 @@
 // compute-bound / config-bound / queue-bound / software-bound) with the
 // dominant-bucket percentages.
 //
+// Buckets and LinkBuckets are the tree's only definitions of the two
+// ledgers: internal/memmodel fills them per engine, per job and for the
+// link as it simulates a round, and the HAL, core and the exporters carry
+// those values (the HAL adding the config bucket it charges itself).
+//
 // All quantities are simulated picoseconds (sim.Time); nothing here reads
 // the wall clock, so topdown records are bit-identical across reruns.
 package topdown
@@ -26,16 +31,26 @@ import (
 
 // Buckets classifies a span of engine cycles. The conservation invariant
 // Busy+StallInput+StallSwitch+StallOutput+Config+Idle == Wall holds
-// exactly for ledgers built by the HAL; per-job buckets set Wall to their
-// own sum (jobs do not own idle time).
+// exactly for every ledger the memory model builds and the HAL extends;
+// per-job buckets set Wall to their own sum (jobs do not own idle time).
 type Buckets struct {
-	Busy        sim.Time `json:"busy_ps"`
-	StallInput  sim.Time `json:"stall_input_ps"`
+	// Busy is time spent draining granted input lines (PU compute).
+	Busy sim.Time `json:"busy_ps"`
+	// StallInput is time the engine sat ready while the arbiter serviced
+	// other engines (waiting on QPI grants).
+	StallInput sim.Time `json:"stall_input_ps"`
+	// StallSwitch is the offset↔heap turnaround stalls.
 	StallSwitch sim.Time `json:"stall_switch_ps"`
+	// StallOutput is time draining result write-back lines through the
+	// link (the Output Collector's share of the final burst, §5.1).
 	StallOutput sim.Time `json:"stall_output_ps"`
-	Config      sim.Time `json:"config_ps"`
-	Idle        sim.Time `json:"idle_ps"`
-	Wall        sim.Time `json:"wall_ps"`
+	// Config is engine parametrization, charged by the HAL per job.
+	Config sim.Time `json:"config_ps"`
+	// Idle is time after the engine's last job (or the whole span for an
+	// engine with no jobs).
+	Idle sim.Time `json:"idle_ps"`
+	// Wall is the span all buckets sum to.
+	Wall sim.Time `json:"wall_ps"`
 }
 
 // Add accumulates o into b, field-wise (walls add too: the cumulative

@@ -16,36 +16,40 @@ func TestAnalyzeVerdicts(t *testing.T) {
 	stalled := Buckets{Busy: us(20), StallInput: us(70), StallSwitch: us(6), StallOutput: us(4)}
 	stalled.Wall = stalled.Sum()
 	cases := []struct {
-		name string
-		q    QueryCycles
-		want Verdict
+		name      string
+		placement string
+		degraded  bool
+		linkBusy  sim.Time
+		a         Attribution
+		want      Verdict
 	}{
-		{"compute", QueryCycles{Placement: "fpga", Hardware: us(100), Total: us(120),
-			Software: us(20), LinkBusy: us(80), Buckets: hw}, ComputeBound},
-		{"memory-by-stalls", QueryCycles{Placement: "fpga", Hardware: us(100), Total: us(120),
-			Software: us(20), LinkBusy: us(80), Buckets: stalled}, MemoryBound},
-		{"memory-by-saturation", QueryCycles{Placement: "fpga", Hardware: us(100), Total: us(120),
-			Software: us(20), LinkBusy: us(98), Buckets: hw}, MemoryBound},
-		{"queue", QueryCycles{Placement: "fpga", Hardware: us(100), Queue: us(500),
+		{"compute", "fpga", false, us(80), Attribution{Hardware: us(100), Total: us(120),
+			Software: us(20), Buckets: hw}, ComputeBound},
+		{"memory-by-stalls", "fpga", false, us(80), Attribution{Hardware: us(100), Total: us(120),
+			Software: us(20), Buckets: stalled}, MemoryBound},
+		{"memory-by-saturation", "fpga", false, us(98), Attribution{Hardware: us(100), Total: us(120),
+			Software: us(20), Buckets: hw}, MemoryBound},
+		{"queue", "fpga", false, 0, Attribution{Hardware: us(100), Queue: us(500),
 			Total: us(620), Software: us(20), Buckets: hw}, QueueBound},
-		{"config", QueryCycles{Placement: "fpga", Hardware: us(100), ConfigGen: us(150),
+		{"config", "fpga", false, 0, Attribution{Hardware: us(100), ConfigGen: us(150),
 			Total: us(270), Software: us(20), Buckets: hw}, ConfigBound},
-		{"software-placement", QueryCycles{Placement: "software", Software: us(300),
+		{"software-placement", "software", false, 0, Attribution{Software: us(300),
 			Total: us(300)}, SoftwareBound},
-		{"software-dominant", QueryCycles{Placement: "hybrid", Hardware: us(100),
+		{"software-dominant", "hybrid", false, 0, Attribution{Hardware: us(100),
 			Software: us(400), Total: us(520), Buckets: hw}, SoftwareBound},
-		{"degraded", QueryCycles{Placement: "fpga", Degraded: true, Hardware: us(100),
+		{"degraded", "fpga", true, 0, Attribution{Hardware: us(100),
 			Software: us(50), Total: us(170), Buckets: hw}, SoftwareBound},
 	}
 	for _, tc := range cases {
-		if got := Analyze(tc.q); got.Verdict != tc.want {
+		got := Analyze(tc.placement, tc.degraded, tc.linkBusy, tc.a)
+		if got.Verdict != tc.want {
 			t.Errorf("%s: verdict %q, want %q (%+v)", tc.name, got.Verdict, tc.want, got)
 		}
 	}
 }
 
 func TestAttributionLineNamesVerdict(t *testing.T) {
-	a := Analyze(QueryCycles{Placement: "software", Software: us(10), Total: us(10)})
+	a := Analyze("software", false, 0, Attribution{Software: us(10), Total: us(10)})
 	if !strings.Contains(a.Line(), "software-bound") {
 		t.Errorf("Line() = %q", a.Line())
 	}
