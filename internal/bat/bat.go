@@ -106,7 +106,8 @@ type Strings struct {
 	heap     mem
 	count    int
 	heapUsed int
-	// HeapBytesRead pads the heap header on first use.
+	// payload is the running total of appended string lengths.
+	payload int
 }
 
 // NewStrings creates a string column, optionally inside a shared region,
@@ -153,6 +154,7 @@ func (s *Strings) Append(v string) error {
 	binary.LittleEndian.PutUint32(s.offs.buf[s.count*OffsetWidth:], off)
 	s.heapUsed += stride
 	s.count++
+	s.payload += len(v)
 	return nil
 }
 
@@ -192,20 +194,13 @@ func (s *Strings) HeapUsed() int { return s.heapUsed }
 
 // PayloadBytes returns the useful string bytes (excluding metadata,
 // padding, offsets), the numerator of the paper's "useful throughput".
-func (s *Strings) PayloadBytes() int {
-	total := 0
-	for i := 0; i < s.count; i++ {
-		off := binary.LittleEndian.Uint32(s.offs.buf[i*OffsetWidth:])
-		total += int(binary.LittleEndian.Uint32(s.heap.buf[off-EntryMeta:]))
-	}
-	return total
-}
+func (s *Strings) PayloadBytes() int { return s.payload }
 
 // Free releases region-backed allocations.
 func (s *Strings) Free() {
 	s.offs.free()
 	s.heap.free()
-	s.count, s.heapUsed = 0, 0
+	s.count, s.heapUsed, s.payload = 0, 0, 0
 }
 
 // Shorts is a BAT with a void head and a 16-bit value tail — the result

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -193,6 +194,19 @@ func TestStringsRoundTripProperty(t *testing.T) {
 	}
 	if got := s.PayloadBytes(); got != total {
 		t.Errorf("PayloadBytes = %d, want %d", got, total)
+	}
+	// ... and the sum of the per-entry length headers in the heap.
+	heap, offs, scanned := s.HeapBytes(), s.OffsetBytes(), 0
+	for i := 0; i < s.Count(); i++ {
+		off := binary.LittleEndian.Uint32(offs[i*OffsetWidth:])
+		scanned += int(binary.LittleEndian.Uint32(heap[off-EntryMeta:]))
+	}
+	if got := s.PayloadBytes(); got != scanned {
+		t.Errorf("PayloadBytes = %d, heap headers sum to %d", got, scanned)
+	}
+	s.Free()
+	if got := s.PayloadBytes(); got != 0 {
+		t.Errorf("PayloadBytes = %d after Free", got)
 	}
 }
 

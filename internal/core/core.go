@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"doppiodb/internal/bat"
-	"doppiodb/internal/config"
 	"doppiodb/internal/engine"
 	"doppiodb/internal/explain"
 	"doppiodb/internal/faults"
@@ -35,7 +34,6 @@ import (
 	"doppiodb/internal/plan"
 	"doppiodb/internal/shmem"
 	"doppiodb/internal/sim"
-	"doppiodb/internal/softregex"
 	"doppiodb/internal/strmatch"
 	"doppiodb/internal/telemetry"
 	"doppiodb/internal/token"
@@ -117,8 +115,9 @@ type System struct {
 	Retry RetryPolicy
 	// Obs is the wide-event query log and SLO engine every query feeds.
 	Obs *obs.Observer
-	// Configs caches compiled regex artifacts (program + config vector) so
-	// repeat patterns skip Glushkov construction and the 512-bit encode.
+	// Configs caches prepared patterns (program, capacity verdict, config
+	// vector, hybrid split, probe steps) so repeat patterns skip everything
+	// that is a fact about the pattern rather than about the query.
 	Configs *plan.Cache
 	// SharedScans turns on the shared-scan coalescer (see Options).
 	SharedScans bool
@@ -296,6 +295,7 @@ func (s *System) RegexpFPGA(ctx context.Context, col *bat.Strings, pattern strin
 	}
 	return &mdb.UDFResult{
 		Result:    res.Matches,
+		Matches:   res.MatchCount,
 		Work:      res.Work,
 		HWSeconds: res.Breakdown.Get(PhaseHardware).Seconds(),
 		Breakdown: bd,
@@ -314,23 +314,25 @@ func (s *System) Exec(ctx context.Context, col *bat.Strings, pattern string, opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The decision record rides the context down from the SQL layer (which
-	// already priced the candidates); a direct Exec call builds its own.
-	rec := explain.FromContext(ctx)
-	if rec == nil {
-		rec = s.recordForExec(col, pattern)
-	}
 	root := telemetry.StartSpan("regexp_fpga")
 	root.SetAttr("rows", int64(col.Count()))
 	s.Tel.Counter("core.queries").Inc()
 
-	cp, cached, err := s.compilePattern(pattern, opts)
+	// The one counted config-cache lookup: everything below — the decision
+	// record, the placement, the hybrid split and its tail matcher — reads
+	// the prepared pattern it returns.
+	pp, cached, err := s.prepare(pattern, opts)
 	if err != nil {
 		return nil, err
 	}
-	lim := s.Device.Deployment.Limits
+	// The decision record rides the context down from the SQL layer (which
+	// already priced the candidates); a direct Exec call builds its own.
+	rec := explain.FromContext(ctx)
+	if rec == nil {
+		rec = s.recordForExec(col, pp)
+	}
 	placement := "fpga"
-	if !cp.fits {
+	if !pp.fits {
 		placement = "hybrid"
 	}
 	if rec != nil && !rec.Offloads() {
@@ -345,23 +347,21 @@ func (s *System) Exec(ctx context.Context, col *bat.Strings, pattern string, opt
 	// Label the serving goroutine so /debug/pprof profiles attribute
 	// samples per placement (the SQL layer adds session and query ids).
 	pprof.Do(ctx, pprof.Labels("doppio.placement", placement), func(ctx context.Context) {
-		var hwPat, swPat string
-		if placement != "fpga" {
-			split := root.StartChild("plan-split")
-			var sErr error
-			hwPat, swPat, sErr = SplitPattern(pattern, lim, opts)
-			split.End()
-			if sErr != nil {
-				err = sErr
+		if !pp.fits {
+			// The span stays in the trace for shape stability; the split
+			// itself was made when the pattern was prepared.
+			root.StartChild("plan-split").End()
+			if pp.splitErr != nil {
+				err = pp.splitErr
 				return
 			}
 			s.Tel.Counter("core.hybrid_queries").Inc()
 		}
 		attempt := func() (*Result, error) {
-			if placement == "fpga" {
-				return s.execDirect(ctx, col, cp, cached, root)
+			if pp.fits {
+				return s.execDirect(ctx, col, pp, cached, root)
 			}
-			return s.execHybrid(ctx, col, hwPat, swPat, opts, root)
+			return s.execHybrid(ctx, col, pp, root)
 		}
 		run := func() (*Result, error) {
 			r, rErr := attempt()
@@ -406,7 +406,7 @@ func (s *System) Exec(ctx context.Context, col *bat.Strings, pattern string, opt
 					Note:   rErr.Error(),
 				})
 				s.Rec.DumpOnDegrade(rErr.Error())
-				r, rErr = s.execSoftware(ctx, col, pattern, opts, root, rErr)
+				r, rErr = s.execSoftware(ctx, col, pp, root, rErr)
 			}
 			return r, rErr
 		}
@@ -459,7 +459,7 @@ func (s *System) ExecLike(ctx context.Context, col *bat.Strings, like string, fo
 // (the FPGA parallelizes a single query by horizontally partitioning the
 // input, §7.5): submit the partitions, dispatch them to the device runtime
 // as one group, and await the per-job completion records.
-func (s *System) execDirect(ctx context.Context, col *bat.Strings, cp *compiled, cached bool, parent *telemetry.Span) (*Result, error) {
+func (s *System) execDirect(ctx context.Context, col *bat.Strings, pp *prepared, cached bool, parent *telemetry.Span) (res *Result, err error) {
 	var bd sim.Counter
 	bd.Add(PhaseDatabase, s.Model.DatabaseOverhead)
 	parent.NewChild("bat-scan").AddSim(s.Model.DatabaseOverhead)
@@ -467,8 +467,8 @@ func (s *System) execDirect(ctx context.Context, col *bat.Strings, cp *compiled,
 	parent.NewChild("hudf-software").AddSim(s.Model.UDFOverhead)
 
 	// Step 3: convert the expression into a configuration vector —
-	// compilePattern encoded it for every program that fits, and only those
-	// reach here. A config cache hit reuses the compiled vector: the span
+	// preparePattern encoded it for every program that fits, and only those
+	// reach here. A config cache hit reuses the prepared vector: the span
 	// stays in the trace for shape stability, but the simulated config-gen
 	// time is zero.
 	cg := parent.StartChild("config-gen")
@@ -479,20 +479,27 @@ func (s *System) execDirect(ctx context.Context, col *bat.Strings, cp *compiled,
 		bd.Add(PhaseConfigGen, s.Model.ConfigGenTime)
 		cg.AddSim(s.Model.ConfigGenTime)
 	}
-	cg.SetAttr("vector_bytes", int64(len(cp.vec)))
+	cg.SetAttr("vector_bytes", int64(len(pp.vec)))
 
-	// Step 3: allocate the result BAT (in CPU-FPGA shared memory).
+	// Step 3: allocate the result BAT (in CPU-FPGA shared memory). A
+	// successful result belongs to the caller; a failed attempt gives its
+	// bytes of the shared region back.
 	result, err := bat.NewShorts(s.Region, col.Count())
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			result.Free()
+		}
+	}()
 	if err := result.SetLen(col.Count()); err != nil {
 		return nil, err
 	}
 
 	// Steps 4-8: create jobs through the HAL, one partition per engine.
 	sub := parent.StartChild("job-submit")
-	jobs, err := s.submitPartitioned(ctx, cp.vec, col, result)
+	jobs, err := s.submitPartitioned(ctx, pp.vec, col, result)
 	if err != nil {
 		// Release the partitions that did submit: they must not linger in
 		// the distributor's accounting (or hold status blocks) after the
@@ -623,23 +630,24 @@ func (s *System) submitPartitioned(ctx context.Context, vec []byte, col *bat.Str
 }
 
 // execHybrid runs the prefix on the FPGA and post-processes matching rows
-// in software (§7.8).
-func (s *System) execHybrid(ctx context.Context, col *bat.Strings, hwPat, swPat string, opts token.Options, parent *telemetry.Span) (*Result, error) {
-	cp, cached, err := s.compilePattern(hwPat, opts)
+// in software (§7.8). The prefix is a pattern of its own in the config
+// cache; the split and the tail matcher come from pp.
+func (s *System) execHybrid(ctx context.Context, col *bat.Strings, pp *prepared, parent *telemetry.Span) (*Result, error) {
+	hw, cached, err := s.prepare(pp.hwPat, pp.opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.execDirect(ctx, col, cp, cached, parent)
+	res, err := s.execDirect(ctx, col, hw, cached, parent)
 	if err != nil {
 		return nil, err
 	}
 	post := parent.StartChild("cpu-post-process")
-	// A plain-literal remainder (QH's "delivery") is post-processed with
-	// a Boyer-Moore substring search — what production regex engines do
-	// for literal tails; general remainders use the backtracker.
-	var matchTail func(tail []byte) (int, perf.Work)
-	if lit, ok := literalPattern(swPat); ok && !opts.FoldCase {
-		bm := strmatch.NewBoyerMoore([]byte(lit), false)
+	matchTail := func(tail []byte) (int, perf.Work) {
+		end, steps := pp.tail.Match(tail)
+		return end, perf.Work{Steps: steps}
+	}
+	if pp.tailLit != "" {
+		bm := strmatch.NewBoyerMoore([]byte(pp.tailLit), false)
 		matchTail = func(tail []byte) (int, perf.Work) {
 			before := bm.Comparisons()
 			at := bm.Find(tail, 0)
@@ -647,16 +655,7 @@ func (s *System) execHybrid(ctx context.Context, col *bat.Strings, hwPat, swPat 
 			if at < 0 {
 				return 0, w
 			}
-			return at + len(lit), w
-		}
-	} else {
-		bt, err := softregex.NewBacktracker(swPat, opts.FoldCase)
-		if err != nil {
-			return nil, err
-		}
-		matchTail = func(tail []byte) (int, perf.Work) {
-			end, steps := bt.Match(tail)
-			return end, perf.Work{Steps: steps}
+			return at + len(pp.tailLit), w
 		}
 	}
 	// Post-process only the rows the FPGA pre-selected: the remainder
@@ -697,7 +696,7 @@ func (s *System) execHybrid(ctx context.Context, col *bat.Strings, hwPat, swPat 
 	post.SetAttr("matches", int64(matches))
 	res.MatchCount = matches
 	res.Hybrid = true
-	res.HWPart, res.SWPart = hwPat, swPat
+	res.HWPart, res.SWPart = pp.hwPat, pp.swPat
 	res.Work = work
 	return res, nil
 }
@@ -707,39 +706,4 @@ func satPos(p int) uint16 {
 		return 0xFFFF
 	}
 	return uint16(p)
-}
-
-// SplitPattern splits a too-large expression at a top-level `.*` (the
-// "suitable point" of §7.8) into the longest prefix that fits the device
-// and the software remainder.
-func SplitPattern(pattern string, lim config.Limits, opts token.Options) (hwPart, swPart string, err error) {
-	ast, err := regexParse(pattern)
-	if err != nil {
-		return "", "", err
-	}
-	children := topLevelChildren(ast)
-	// Candidate split points: indexes of top-level `.*` children.
-	var gaps []int
-	for i, c := range children {
-		if isDotStar(c) {
-			gaps = append(gaps, i)
-		}
-	}
-	// Prefer the longest fitting prefix.
-	for k := len(gaps) - 1; k >= 0; k-- {
-		g := gaps[k]
-		if g == 0 || g == len(children)-1 {
-			continue
-		}
-		hw := renderConcat(children[:g])
-		sw := renderConcat(children[g+1:])
-		prog, cErr := token.CompilePattern(hw, opts)
-		if cErr != nil {
-			continue
-		}
-		if config.Fits(prog, lim) == nil {
-			return hw, sw, nil
-		}
-	}
-	return "", "", ErrCannotSplit
 }

@@ -2,13 +2,10 @@ package core
 
 import (
 	"doppiodb/internal/bat"
-	"doppiodb/internal/config"
 	"doppiodb/internal/hal"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/sim"
-	"doppiodb/internal/softregex"
 	"doppiodb/internal/token"
-	"doppiodb/internal/workload"
 )
 
 // This file implements the paper's §9 proposal: "being able to provide a
@@ -22,6 +19,12 @@ import (
 // complexity or length which makes its cost function very simple, an
 // important aspect for query planning", §5). The software cost is estimated
 // by probing the backtracker on a small sample of synthesized rows.
+//
+// Both are arithmetic over a prepared pattern (prepared.go): the resource
+// demand, the capacity verdict, the hybrid split and the probe's step count
+// are facts about the pattern, computed once per config-cache entry, so a
+// repeat query pays only for what depends on the query — the input volume
+// and the FPGA's current load.
 
 // Placement says where the optimizer decided to run a predicate.
 type Placement int
@@ -83,13 +86,23 @@ const probeRows = 512
 
 // EstimateCost predicts HUDF vs software response time for evaluating
 // pattern over n strings of avgLen bytes, given `queued` bytes already
-// enqueued on the FPGA, and picks a placement.
+// enqueued on the FPGA, and picks a placement. It prepares the pattern
+// outside the config cache; Exec prices the artifact its lookup returned.
 func (s *System) EstimateCost(pattern string, n int, avgLen int, queued int64) (*CostEstimate, error) {
-	prog, err := token.CompilePattern(pattern, token.Options{})
+	p, err := preparePattern(pattern, token.Options{}, s.Device.Deployment.Limits)
 	if err != nil {
 		return nil, err
 	}
-	est := &CostEstimate{States: prog.NumStates(), Chars: prog.NumChars()}
+	return s.estimate(p, n, avgLen, queued)
+}
+
+// estimate is the cost function proper: arithmetic over a prepared pattern.
+func (s *System) estimate(p *prepared, n int, avgLen int, queued int64) (*CostEstimate, error) {
+	est := &CostEstimate{
+		States: p.prog.NumStates(),
+		Chars:  p.prog.NumChars(),
+		Fits:   p.fits,
+	}
 
 	// Hardware: volume / QPI bandwidth + fixed overheads; precise by
 	// construction. The terms are kept apart so EXPLAIN can show which
@@ -103,24 +116,12 @@ func (s *System) EstimateCost(pattern string, n int, avgLen int, queued int64) (
 	est.HWTime = est.EngineBusy + est.Fixed
 	est.QueueDelay = sim.FromSeconds(float64(queued) / 6.5e9)
 
-	// Software: probe the backtracker on synthesized rows of the same
-	// length to estimate steps per row, then apply the calibrated model.
-	bt, err := softregex.NewBacktracker(pattern, false)
+	// Software: the backtracker's steps over a probe of synthesized rows
+	// of the same length, scaled to n rows under the calibrated model.
+	rows := max(min(n, probeRows), 1)
+	steps, err := p.probeSteps(avgLen, rows)
 	if err != nil {
 		return nil, err
-	}
-	g := workload.NewGenerator(1, avgLen)
-	var steps uint64
-	rows := probeRows
-	if n < rows {
-		rows = n
-	}
-	if rows == 0 {
-		rows = 1
-	}
-	for i := 0; i < rows; i++ {
-		_, st := bt.MatchString(g.Row(workload.HitNone))
-		steps += st
 	}
 	w := perf.Work{
 		Rows:      n,
@@ -134,21 +135,14 @@ func (s *System) EstimateCost(pattern string, n int, avgLen int, queued int64) (
 	// does — Fig. 10); fall back to hybrid when the expression does not
 	// fit; software when it cannot be split either, or when the FPGA's
 	// queued load erases the win.
-	fits := config.Fits(prog, s.Device.Deployment.Limits) == nil
-	est.Fits = fits
-	hwTotal := est.HWTime + est.QueueDelay
 	switch {
-	case fits && hwTotal <= est.SWTime:
+	case p.fits && est.HWTime+est.QueueDelay <= est.SWTime:
 		est.Placement = PlaceFPGA
-	case fits:
+	case p.fits || p.splitErr != nil:
 		est.Placement = PlaceSoftware
 	default:
-		if hw, sw, err := SplitPattern(pattern, s.Device.Deployment.Limits, token.Options{}); err == nil {
-			est.Placement = PlaceHybrid
-			est.HWPart, est.SWPart = hw, sw
-		} else {
-			est.Placement = PlaceSoftware
-		}
+		est.Placement = PlaceHybrid
+		est.HWPart, est.SWPart = p.hwPat, p.swPat
 	}
 	return est, nil
 }

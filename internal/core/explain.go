@@ -8,11 +8,12 @@ import (
 	"doppiodb/internal/obs"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/sim"
+	"doppiodb/internal/token"
 	"doppiodb/internal/topdown"
 )
 
 // This file bridges the §9 cost model to the explain layer: ExplainCost
-// turns one EstimateCost call into a full decision record — every candidate
+// turns one estimate into a full decision record — every candidate
 // plan with its itemized predicted breakdown and the chosen plan's reason —
 // and finishRecord fills the actual figures in from the runtime's per-job
 // Completion accounting after execution.
@@ -26,11 +27,23 @@ func ns(t sim.Time) int64 { return int64(t / sim.Nanosecond) }
 // predicted costs, and the chosen placement with its reason. It is the SQL
 // layer's placement advisor (rec.Offloads() is the advice; the advisor
 // counters live here) and binds the record to the system's calibration
-// auditor so Finish feeds the rolling error statistics.
+// auditor so Finish feeds the rolling error statistics. Like EstimateCost
+// it prepares the pattern outside the config cache.
 func (s *System) ExplainCost(pattern string, rows, avgLen int) (*explain.Record, error) {
+	p, err := preparePattern(pattern, token.Options{}, s.Device.Deployment.Limits)
+	if err != nil {
+		s.Tel.Counter("core.advisor.decisions").Inc()
+		s.Tel.Counter("core.advisor.errors").Inc()
+		return nil, err
+	}
+	return s.explainPrepared(p, rows, avgLen)
+}
+
+// explainPrepared is ExplainCost over a prepared pattern.
+func (s *System) explainPrepared(p *prepared, rows, avgLen int) (*explain.Record, error) {
 	s.Tel.Counter("core.advisor.decisions").Inc()
 	queued := s.QueuedBytes()
-	est, err := s.EstimateCost(pattern, rows, avgLen, queued)
+	est, err := s.estimate(p, rows, avgLen, queued)
 	if err != nil {
 		s.Tel.Counter("core.advisor.errors").Inc()
 		return nil, err
@@ -39,7 +52,7 @@ func (s *System) ExplainCost(pattern string, rows, avgLen int) (*explain.Record,
 		int64((est.HWTime + est.QueueDelay) / sim.Nanosecond))
 	s.Tel.Counter("core.advisor.predicted_sw_ns").Add(
 		int64(est.SWTime / sim.Nanosecond))
-	rec := s.buildRecord(pattern, rows, avgLen, queued, est)
+	rec := s.buildRecord(p.pattern, rows, avgLen, queued, est)
 	if rec.Offloads() {
 		s.Tel.Counter("core.advisor.offloaded").Inc()
 	}
@@ -125,14 +138,14 @@ func (s *System) buildRecord(pattern string, rows, avgLen int, queued int64, est
 // recordForExec builds a decision record for a direct Exec call (no record
 // came down the context from the SQL layer). Estimation failures don't fail
 // the query — they just leave it unexplained.
-func (s *System) recordForExec(col *bat.Strings, pattern string) *explain.Record {
+func (s *System) recordForExec(col *bat.Strings, p *prepared) *explain.Record {
 	avgLen := 64
 	if n := col.Count(); n > 0 {
 		if b := col.PayloadBytes(); b > 0 {
 			avgLen = b / n
 		}
 	}
-	rec, err := s.ExplainCost(pattern, col.Count(), avgLen)
+	rec, err := s.explainPrepared(p, col.Count(), avgLen)
 	if err != nil {
 		return nil
 	}

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"doppiodb/internal/faults"
 	"doppiodb/internal/fpga"
+	"doppiodb/internal/hal"
+	"doppiodb/internal/regex"
 	"doppiodb/internal/shmem"
 	"doppiodb/internal/token"
 	"doppiodb/internal/workload"
@@ -128,9 +131,88 @@ func TestLiteralPattern(t *testing.T) {
 		{`(`, "", false},
 	}
 	for _, c := range cases {
-		got, ok := literalPattern(c.pat)
+		var got string
+		ok := false
+		if ast, err := regex.Parse(c.pat); err == nil {
+			got, ok = literalOf(topLevelChildren(ast))
+		}
 		if ok != c.ok || got != c.want {
-			t.Errorf("literalPattern(%q) = %q,%v want %q,%v", c.pat, got, ok, c.want, c.ok)
+			t.Errorf("literalOf(%q) = %q,%v want %q,%v", c.pat, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// cancelOnWrite is a degrade-dump sink that cancels a context the moment the
+// query degrades — between the failed hardware attempt and the software
+// fallback.
+type cancelOnWrite struct{ cancel context.CancelFunc }
+
+func (c cancelOnWrite) Write(p []byte) (int, error) { c.cancel(); return len(p), nil }
+
+// A hardware attempt that fails gives its result BAT back to the shared
+// region; only a successful query leaves one behind, and that one is the
+// caller's.
+func TestFailedAttemptsFreeResultBAT(t *testing.T) {
+	live := func(s *System) int64 { return s.Tel.Gauge("shmem.live_bytes").Value() }
+
+	t.Run("shed dispatch", func(t *testing.T) {
+		s := newSystem(t)
+		defer s.Close()
+		tbl, _ := loadTable(t, s, 5_000, workload.HitQ1, 0.2)
+		col, _ := tbl.Column("address_string")
+		before := live(s)
+		s.HAL.SetAdmission(hal.AdmissionLimits{MaxBytes: 1, Policy: hal.PolicyShed})
+		if _, err := s.Exec(context.Background(), col.Strs, workload.Q1Regex, token.Options{}); err == nil {
+			t.Fatal("over-cap exec did not error")
+		}
+		if got := live(s); got != before {
+			t.Errorf("shmem.live_bytes = %d after a shed query, want %d", got, before)
+		}
+	})
+
+	t.Run("transient fault retried to success", func(t *testing.T) {
+		in := faults.New(faults.Options{DropEnabled: true, DropEngine: 0, DropAfter: 1, DropRecover: 2})
+		s := newSingleEngineSystem(t, in)
+		defer s.Close()
+		tbl, _ := loadTable(t, s, 5_000, workload.HitQ2, 0.2)
+		col, _ := tbl.Column("address_string")
+		warm, err := s.Exec(context.Background(), col.Strs, workload.Q2, token.Options{})
+		if err != nil {
+			t.Fatalf("warm query: %v", err)
+		}
+		warm.Matches.Free()
+		before := live(s)
+		res, err := s.Exec(context.Background(), col.Strs, workload.Q2, token.Options{})
+		if err != nil {
+			t.Fatalf("retried query: %v", err)
+		}
+		if s.Tel.Counter("core.retry.attempts").Value() == 0 {
+			t.Fatal("query did not retry")
+		}
+		res.Matches.Free()
+		if got := live(s); got != before {
+			t.Errorf("shmem.live_bytes = %d after a retried query and freeing its result, want %d", got, before)
+		}
+	})
+
+	t.Run("canceled degraded fallback", func(t *testing.T) {
+		in := faults.New(faults.Options{DropEnabled: true, DropEngine: 0})
+		s := newFaultySystem(t, in)
+		defer s.Close()
+		tbl, _ := loadTable(t, s, 10_000, workload.HitQ2, 0.2)
+		col, _ := tbl.Column("address_string")
+		before := live(s)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s.Rec.SetSink(cancelOnWrite{cancel})
+		if _, err := s.Exec(ctx, col.Strs, workload.Q2, token.Options{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if got := s.Tel.Counter("core.fallback.software").Value(); got != 1 {
+			t.Fatalf("core.fallback.software = %d, want 1", got)
+		}
+		if got := live(s); got != before {
+			t.Errorf("shmem.live_bytes = %d after a canceled fallback, want %d", got, before)
+		}
+	})
 }

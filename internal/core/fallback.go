@@ -14,27 +14,25 @@ import (
 	"doppiodb/internal/bat"
 	"doppiodb/internal/perf"
 	"doppiodb/internal/sim"
-	"doppiodb/internal/softregex"
 	"doppiodb/internal/telemetry"
-	"doppiodb/internal/token"
 )
 
 // execSoftware evaluates the full pattern on the CPU with the backtracking
 // engine (the PCRE stand-in), producing the same result BAT shape as the
 // hardware path. cause is the fault that forced the degradation. ctx is
 // honored between row chunks so a canceled query stops burning CPU.
-func (s *System) execSoftware(ctx context.Context, col *bat.Strings, pattern string, opts token.Options, parent *telemetry.Span, cause error) (*Result, error) {
+func (s *System) execSoftware(ctx context.Context, col *bat.Strings, pp *prepared, parent *telemetry.Span, cause error) (*Result, error) {
 	sp := parent.StartChild("software-fallback")
-	bt, err := softregex.NewBacktracker(pattern, opts.FoldCase)
+	bt, err := pp.fallbackMatcher()
 	if err != nil {
 		return nil, err
 	}
-	bt.SetStartOptimization(true)
 	result, err := bat.NewShorts(s.Region, col.Count())
 	if err != nil {
 		return nil, err
 	}
 	if err := result.SetLen(col.Count()); err != nil {
+		result.Free()
 		return nil, err
 	}
 	matches := 0
@@ -42,6 +40,7 @@ func (s *System) execSoftware(ctx context.Context, col *bat.Strings, pattern str
 	for i := 0; i < col.Count(); i++ {
 		if i%4096 == 0 {
 			if err := ctx.Err(); err != nil {
+				result.Free()
 				return nil, err
 			}
 		}

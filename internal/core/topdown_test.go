@@ -133,7 +133,7 @@ func TestTopdownHWStatsSumJobCompletions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp, _, err := s.compilePattern(workload.Q2, token.Options{})
+	cp, _, err := s.prepare(workload.Q2, token.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

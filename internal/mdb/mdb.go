@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"doppiodb/internal/bat"
@@ -170,7 +171,10 @@ func (t *Table) AppendRow(vals ...any) error {
 // accounting needed by the experiments.
 type UDFResult struct {
 	Result *bat.Shorts
-	Work   perf.Work
+	// Matches is the number of non-zero rows of Result; the count(*) leaf
+	// reads it rather than scanning Result again.
+	Matches int
+	Work    perf.Work
 	// HWSeconds is simulated hardware time, if the UDF offloaded.
 	HWSeconds float64
 	// Breakdown maps response-time phases to simulated seconds.
@@ -199,6 +203,8 @@ type DB struct {
 	tables map[string]*Table
 	udfs   map[string]UDF
 
+	sessions atomic.Int64
+
 	// Mode is the optimizer pipeline; Threads the intra-operator worker
 	// count.
 	Mode    ExecMode
@@ -220,6 +226,11 @@ func New(region *shmem.Region) *DB {
 		Tel:     telemetry.NewRegistry(),
 	}
 }
+
+// NextSession numbers the sessions opened on this database, from 1: the SQL
+// engines' labels depend on their own database only, not on how many
+// engines the process built before.
+func (db *DB) NextSession() int64 { return db.sessions.Add(1) }
 
 // Region returns the shared region (nil when software-only).
 func (db *DB) Region() *shmem.Region { return db.region }

@@ -88,70 +88,16 @@ func latencyBounds() []int64 {
 	return bounds
 }
 
-// windowCounts is a rotating-slot availability counter pair (submitted and
-// errors) over one window of the simulated timeline.
-type windowCounts struct {
-	width int64
-	slots []wcSlot
-}
-
-type wcSlot struct {
-	start     int64
-	submitted int64
-	errors    int64
-}
-
-func newWindowCounts(window int64, slots int) *windowCounts {
-	if window < int64(slots) {
-		window = int64(slots)
-	}
-	w := &windowCounts{width: window / int64(slots), slots: make([]wcSlot, slots)}
-	for i := range w.slots {
-		w.slots[i].start = -1
-	}
-	return w
-}
-
-// add records one query at timeline position now. Caller synchronizes.
-func (w *windowCounts) add(now int64, isErr bool) {
-	if now < 0 {
-		now = 0
-	}
-	start := now - now%w.width
-	s := &w.slots[(now/w.width)%int64(len(w.slots))]
-	if s.start != start {
-		*s = wcSlot{start: start}
-	}
-	s.submitted++
-	if isErr {
-		s.errors++
-	}
-}
-
-// rates sums the live slots at now. Caller synchronizes.
-func (w *windowCounts) rates(now int64) (submitted, errors int64) {
-	if now < 0 {
-		now = 0
-	}
-	oldest := now - now%w.width - int64(len(w.slots)-1)*w.width
-	for i := range w.slots {
-		s := &w.slots[i]
-		if s.start < 0 || s.start < oldest || s.start > now {
-			continue
-		}
-		submitted += s.submitted
-		errors += s.errors
-	}
-	return submitted, errors
-}
-
 // SLO is the windowed SLO engine. All methods are nil-safe.
 type SLO struct {
 	mu   sync.Mutex
 	opts SLOOptions
 	// lat holds one slow-window latency histogram per placement class.
-	lat        map[string]*telemetry.WindowedHistogram
-	fast, slow *windowCounts
+	lat map[string]*telemetry.WindowedHistogram
+	// fast and slow are the availability windows: one-bound histograms fed
+	// 1 for an error outcome and 0 otherwise, so a snapshot's Count is the
+	// queries submitted inside the window and its Sum the errors.
+	fast, slow *telemetry.WindowedHistogram
 	lastNS     int64 // latest event timestamp seen (the engine's "now")
 
 	alert       bool
@@ -170,8 +116,8 @@ func NewSLO(opts SLOOptions) *SLO {
 	return &SLO{
 		opts:      opts,
 		lat:       make(map[string]*telemetry.WindowedHistogram),
-		fast:      newWindowCounts(opts.FastWindowNS, opts.Slots),
-		slow:      newWindowCounts(opts.SlowWindowNS, opts.Slots),
+		fast:      telemetry.NewWindowedHistogram(opts.FastWindowNS, opts.Slots, 0),
+		slow:      telemetry.NewWindowedHistogram(opts.SlowWindowNS, opts.Slots, 0),
 		byOutcome: make(map[Outcome]int64),
 	}
 }
@@ -228,12 +174,13 @@ func (s *SLO) Observe(ev Event) {
 	}
 	s.submitted++
 	s.byOutcome[ev.Outcome]++
-	isErr := ev.Outcome.IsError()
-	if isErr {
-		s.errors++
+	var errs int64
+	if ev.Outcome.IsError() {
+		errs = 1
 	}
-	s.fast.add(now, isErr)
-	s.slow.add(now, isErr)
+	s.errors += errs
+	s.fast.Observe(now, errs)
+	s.slow.Observe(now, errs)
 	// Latency SLIs track queries that actually produced a result; a shed
 	// or refused query has no service time to speak of.
 	if ev.Outcome == OutcomeCompleted || ev.Outcome == OutcomeDegraded {
@@ -253,14 +200,14 @@ func (s *SLO) Observe(ev Event) {
 
 // burnLocked computes one window's burn rate: the observed error rate over
 // the error budget the availability target leaves.
-func (s *SLO) burnLocked(w *windowCounts, now int64) (rate, burn float64, submitted int64) {
-	sub, errs := w.rates(now)
-	if sub == 0 {
+func (s *SLO) burnLocked(w *telemetry.WindowedHistogram, now int64) (rate, burn float64, submitted int64) {
+	snap := w.Snapshot(now)
+	if snap.Count == 0 {
 		return 0, 0, 0
 	}
-	rate = float64(errs) / float64(sub)
+	rate = float64(snap.Sum) / float64(snap.Count)
 	budget := 1 - s.opts.Targets.AvailabilityPct/100
-	return rate, rate / budget, sub
+	return rate, rate / budget, snap.Count
 }
 
 // evaluateLocked re-computes both windows' burn and drives the alert's

@@ -160,3 +160,48 @@ func TestSLONilSafe(t *testing.T) {
 		t.Fatalf("nil report: %+v", rep)
 	}
 }
+
+// Window edges: a slot's last instant (k·width−1), its successor's first
+// (k·width), and the instant one full window later that recycles the same
+// ring slot, on both windows (fast slots are 100 wide, slow 1000). The burn
+// rates are pinned to the values the engine reported before its
+// availability counters became windowed histograms.
+func TestSLOWindowEdges(t *testing.T) {
+	s := NewSLO(SLOOptions{
+		Targets:      SLOTargets{AvailabilityPct: 99},
+		FastWindowNS: 1600,
+		SlowWindowNS: 16000,
+	})
+	steps := []struct {
+		now        int64
+		err        bool
+		fast, slow float64
+	}{
+		{299, true, 99.99999999999991, 99.99999999999991},
+		{300, false, 49.99999999999996, 49.99999999999996},
+		{300, false, 33.3333333333333, 33.3333333333333},
+		{1799, false, 24.99999999999998, 24.99999999999998},
+		{1800, true, 24.99999999999998, 39.999999999999964},
+		{1899, false, 19.999999999999982, 33.3333333333333},
+		{1900, false, 24.99999999999998, 28.571428571428545},
+		{2999, true, 39.999999999999964, 37.499999999999964},
+		{3000, false, 33.3333333333333, 33.3333333333333},
+		{3400, false, 24.99999999999998, 29.99999999999997},
+		{15999, false, 0, 27.272727272727245},
+		{16000, true, 49.99999999999996, 33.3333333333333},
+		{18999, false, 0, 19.999999999999982},
+		{19000, false, 0, 24.99999999999998},
+		{35000, false, 0, 0},
+	}
+	for i, st := range steps {
+		out := OutcomeCompleted
+		if st.err {
+			out = OutcomeShed
+		}
+		s.Observe(Event{SimNS: st.now, Outcome: out, Placement: "fpga", TotalNS: 1000})
+		if rep := s.Report(); rep.FastBurn != st.fast || rep.SlowBurn != st.slow {
+			t.Errorf("step %d (t=%d): burn fast %v slow %v, want %v / %v",
+				i, st.now, rep.FastBurn, rep.SlowBurn, st.fast, st.slow)
+		}
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 
-	"doppiodb/internal/telemetry"
 	"doppiodb/internal/token"
 )
 
@@ -37,7 +36,9 @@ var (
 	ErrChainTooLong  = errors.New("pu: expression exceeds the character-matcher capacity")
 )
 
-// Unit is one configured Processing Unit.
+// Unit is one configured Processing Unit. A Unit belongs to one goroutine:
+// engine.runRange builds its own per worker, so the work counters are plain
+// fields.
 type Unit struct {
 	prog    *token.Program
 	nTokens int
@@ -58,15 +59,13 @@ type Unit struct {
 	holdMask   uint32
 	acceptMask uint32
 
-	// Work counters accumulate across Match calls. They are detached
-	// telemetry instances — the DSM-style hardware counters of this PU —
-	// and Stats() is a thin view over them.
-	strings, bytes, matches *telemetry.Counter
+	// stats accumulates across Match calls — the DSM-style hardware
+	// counters of this PU.
+	stats Stats
 }
 
 // Stats counts the work a Unit has performed; the engine model uses Cycles
-// for timing (one byte per 400 MHz cycle). It is a snapshot view over the
-// Unit's telemetry counters.
+// for timing (one byte per 400 MHz cycle).
 type Stats struct {
 	Strings uint64 // strings processed
 	Bytes   uint64 // bytes consumed = PU cycles
@@ -89,9 +88,6 @@ func New(prog *token.Program) (*Unit, error) {
 		firstPos: make([]uint, n),
 		lastPos:  make([]uint, n),
 		predMask: make([]uint32, n),
-		strings:  telemetry.NewCounter(),
-		bytes:    telemetry.NewCounter(),
-		matches:  telemetry.NewCounter(),
 	}
 	pos := uint(0)
 	for j := 0; j < n; j++ {
@@ -141,35 +137,16 @@ func New(prog *token.Program) (*Unit, error) {
 func (u *Unit) Program() *token.Program { return u.prog }
 
 // Stats returns a snapshot of the accumulated work counters.
-func (u *Unit) Stats() Stats {
-	return Stats{
-		Strings: uint64(u.strings.Value()),
-		Bytes:   uint64(u.bytes.Value()),
-		Matches: uint64(u.matches.Value()),
-	}
-}
+func (u *Unit) Stats() Stats { return u.stats }
 
 // ResetStats clears the work counters (per-job accounting).
-func (u *Unit) ResetStats() {
-	u.strings.Reset()
-	u.bytes.Reset()
-	u.matches.Reset()
-}
-
-// AttachTelemetry publishes this Unit's counters in a registry under the
-// given prefix (e.g. "pu.0"), as the hardware exposes per-PU counters in
-// the status structure.
-func (u *Unit) AttachTelemetry(reg *telemetry.Registry, prefix string) {
-	reg.AttachCounter(prefix+".strings", u.strings)
-	reg.AttachCounter(prefix+".cycles", u.bytes)
-	reg.AttachCounter(prefix+".matches", u.matches)
-}
+func (u *Unit) ResetStats() { u.stats = Stats{} }
 
 // Match feeds s through the PU one byte per cycle and returns the match
 // index per the HUDF encoding: 0 for no match, else the 1-based position of
 // the first match's last character, saturating at 65535.
 func (u *Unit) Match(s []byte) uint16 {
-	u.strings.Inc()
+	u.stats.Strings++
 	var chain uint64
 	var active uint32
 	endAnchored := u.prog.EndAnchored
@@ -200,22 +177,22 @@ func (u *Unit) Match(s []byte) uint16 {
 
 		if fired&accept != 0 {
 			if !endAnchored {
-				u.bytes.Add(int64(i + 1))
-				u.matches.Inc()
+				u.stats.Bytes += uint64(i + 1)
+				u.stats.Matches++
 				return satPos(i + 1)
 			}
 			if i == len(s)-1 {
-				u.bytes.Add(int64(len(s)))
-				u.matches.Inc()
+				u.stats.Bytes += uint64(len(s))
+				u.stats.Matches++
 				return satPos(len(s))
 			}
 		}
 	}
-	u.bytes.Add(int64(len(s)))
+	u.stats.Bytes += uint64(len(s))
 	if endAnchored && active&accept&hold != 0 {
 		// A held accept position (e.g. `a.*$`) is still active when
 		// the string ends.
-		u.matches.Inc()
+		u.stats.Matches++
 		return satPos(len(s))
 	}
 	return 0

@@ -47,7 +47,7 @@ type Engine struct {
 	// instances and simply not exported.
 	Tel *telemetry.Registry
 	// ID labels this engine's sessions in pprof profiles
-	// (doppio.session); NewEngine assigns s1, s2, ... per process.
+	// (doppio.session); NewEngine assigns s1, s2, ... per database.
 	ID string
 	// QueryBudget, when positive, attaches a simulated-time deadline to
 	// every query: the HAL refuses admission when the cost model's ETA
@@ -66,15 +66,12 @@ type Engine struct {
 	queries atomic.Int64
 }
 
-// engineSeq numbers engines process-wide for the pprof session label.
-var engineSeq atomic.Int64
-
 // NewEngine wraps a database.
 func NewEngine(db *mdb.DB) *Engine {
 	return &Engine{
 		DB:    db,
 		Tel:   db.Tel,
-		ID:    "s" + strconv.FormatInt(engineSeq.Add(1), 10),
+		ID:    "s" + strconv.FormatInt(db.NextSession(), 10),
 		Plans: plan.NewCache(128, db.Tel, "plan.cache"),
 	}
 }

@@ -79,68 +79,28 @@ func (e *Engine) explainQuery(ctx context.Context, stmt *SelectStmt, root *telem
 }
 
 // planOnlyRecord prices the candidates of a statement's hardware-eligible
-// predicate without executing it. Statements outside the recognized shapes
-// (or engines without an advisor) yield a nil record, which explainQuery
-// renders as an explanatory line.
+// predicate (hardwarePredicate over a base table) without executing it.
+// Statements outside the recognized shapes (or engines without an advisor)
+// yield a nil record, which explainQuery renders as an explanatory line.
 func (e *Engine) planOnlyRecord(stmt *SelectStmt) (*explain.Record, error) {
-	if e.Advisor == nil {
-		return nil, nil
-	}
-	pat, forced, rows, avgLen, ok, err := e.explainTarget(stmt)
-	if err != nil || !ok {
-		return nil, err
-	}
-	rec, err := e.Advisor.ExplainCost(pat, rows, avgLen)
-	if err != nil {
-		return nil, err
-	}
-	if forced && !rec.Offloads() {
-		rec.ForceHardware("REGEXP_FPGA invoked explicitly; cost model preferred software")
-	}
-	return rec, nil
-}
-
-// explainTarget extracts the explainable predicate of a statement: a
-// REGEXP_LIKE(col, pattern) or REGEXP_FPGA(pattern, col) <> 0 WHERE clause
-// over a base table (the shapes the placement machinery prices). forced
-// marks the explicit hardware operator.
-func (e *Engine) explainTarget(stmt *SelectStmt) (pat string, forced bool, rows, avgLen int, ok bool, err error) {
 	bt, isBase := stmt.From.(*BaseTable)
-	if !isBase || stmt.Where == nil {
-		return "", false, 0, 0, false, nil
+	if e.Advisor == nil || !isBase {
+		return nil, nil
 	}
 	tbl, err := e.DB.Table(bt.Name)
 	if err != nil {
-		return "", false, 0, 0, false, err
+		return nil, err
 	}
-	switch w := stmt.Where.(type) {
-	case *FuncCall:
-		if w.Name != "REGEXP_LIKE" {
-			return "", false, 0, 0, false, nil
-		}
-		colExpr, p, err := regexpArgs(w)
-		if err != nil {
-			return "", false, 0, 0, false, err
-		}
-		ref, isRef := colExpr.(*ColumnRef)
-		if !isRef {
-			return "", false, 0, 0, false, nil
-		}
-		return p, false, tbl.Rows(), avgStringLen(tbl, ref.Column), true, nil
-	case *BinaryExpr:
-		call, _ := fpgaPredicate(w)
-		if call == nil {
-			return "", false, 0, 0, false, nil
-		}
-		colExpr, p, err := regexpFPGAArgs(call)
-		if err != nil {
-			return "", false, 0, 0, false, err
-		}
-		ref, isRef := colExpr.(*ColumnRef)
-		if !isRef {
-			return "", false, 0, 0, false, nil
-		}
-		return p, true, tbl.Rows(), avgStringLen(tbl, ref.Column), true, nil
+	hp, err := hardwarePredicate(stmt.Where)
+	if err != nil || hp == nil {
+		return nil, err
 	}
-	return "", false, 0, 0, false, nil
+	rec, err := e.Advisor.ExplainCost(hp.pattern, tbl.Rows(), avgStringLen(tbl, hp.column))
+	if err != nil {
+		return nil, err
+	}
+	if hp.forced && !rec.Offloads() {
+		rec.ForceHardware("REGEXP_FPGA invoked explicitly; cost model preferred software")
+	}
+	return rec, nil
 }

@@ -198,6 +198,13 @@ func (e *Engine) planFastCount(p *physical, root *telemetry.Span) (bool, error) 
 		}
 		return sel, err
 	}
+	hp, err := hardwarePredicate(stmt.Where)
+	if err != nil {
+		return false, err
+	}
+	if hp != nil {
+		return e.planRegexCount(p, tbl, detail, hp, scan), nil
+	}
 	switch w := stmt.Where.(type) {
 	case *LikeExpr:
 		col, ok := likeColumn(w, alias)
@@ -221,156 +228,157 @@ func (e *Engine) planFastCount(p *physical, root *telemetry.Span) (bool, error) 
 		p.countPlan(op, "like")
 		return true, nil
 	case *FuncCall:
-		switch w.Name {
-		case "REGEXP_LIKE":
-			colExpr, pat, err := regexpArgs(w)
-			if err != nil {
-				return false, err
-			}
-			ref, ok := colExpr.(*ColumnRef)
-			if !ok {
-				return false, nil
-			}
-			// Cost-based placement (§9): the decision is made at plan
-			// time and cached — a plan-cache hit reuses the recorded
-			// choice instead of re-running the estimator.
-			var rec *explain.Record
-			var offload bool
-			if e.Advisor != nil {
-				if _, hasUDF := e.DB.UDF("regexp_fpga"); hasUDF {
-					if p.hit && p.entry.advised {
-						rec = p.entry.rec.Clone()
-						offload = p.entry.offload
-					} else {
-						rec, offload = e.adviseRecord(pat, tbl.Rows(), avgStringLen(tbl, ref.Column))
-						p.entry.advised = true
-						p.entry.offload = offload
-						if rec != nil {
-							p.entry.rec = rec.Clone()
-						}
-					}
-				}
-			}
-			if offload {
-				placement := "fpga"
-				if rec != nil && rec.Chosen != "" {
-					placement = rec.Chosen
-				}
-				var op *plan.FPGARegexScan
-				op = plan.NewFPGARegexScan(detail, placement, func(ctx context.Context) (plan.ScanOut, error) {
-					out, err := e.DB.CallUDF(explain.WithRecord(ctx, rec),
-						"regexp_fpga", tbl, ref.Column, pat)
-					if err != nil {
-						return plan.ScanOut{}, err
-					}
-					n := 0
-					for i := 0; i < out.Result.Count(); i++ {
-						if out.Result.Get(i) != 0 {
-							n++
-						}
-					}
-					st.work.Add(out.Work)
-					st.udf = out
-					st.decision = out.Decision
-					if out.Decision != nil && out.Decision.SharedScan {
-						op.Info().Shared = true
-					}
-					return plan.ScanOut{Tally: int64(n), TallyOnly: true}, nil
-				})
-				st.decision = rec
-				p.countPlan(op, "regexp->udf")
-				return true, nil
-			}
-			op := plan.NewSoftRegexFilter(detail, func(ctx context.Context) (plan.ScanOut, error) {
-				sel, err := scan(func() (*mdb.Selection, error) {
-					return e.DB.SelectRegexp(tbl, ref.Column, pat, false)
-				})
-				if err != nil {
-					return plan.ScanOut{}, err
-				}
-				if rec != nil {
-					// The predicate stayed in software: the realized cost
-					// is the scan's own work, priced by the calibrated
-					// model.
-					e.Advisor.FinishSoftware(rec, sel.Work)
-				}
-				st.work.Add(sel.Work)
-				return plan.ScanOut{Tally: int64(sel.Count()), TallyOnly: true}, nil
-			})
-			st.decision = rec
-			p.countPlan(op, "regexp")
-			return true, nil
-		case "CONTAINS":
-			col, q, err := containsArgs(w, tbl)
-			if err != nil {
-				return false, err
-			}
-			op := plan.NewIndexLookup(detail, func(ctx context.Context) (plan.ScanOut, error) {
-				sel, err := scan(func() (*mdb.Selection, error) {
-					return e.DB.SelectContains(tbl, col, q)
-				})
-				if err != nil {
-					return plan.ScanOut{}, err
-				}
-				st.work.Add(sel.Work)
-				return plan.ScanOut{Tally: int64(sel.Count()), TallyOnly: true}, nil
-			})
-			p.countPlan(op, "contains")
-			return true, nil
-		}
-		return false, nil
-	case *BinaryExpr:
-		// REGEXP_FPGA(pattern, col) <> 0 — the HUDF predicate, forced to
-		// hardware by construction.
-		call, zero := fpgaPredicate(w)
-		if call == nil {
+		if w.Name != "CONTAINS" {
 			return false, nil
 		}
-		colExpr, pat, err := regexpFPGAArgs(call)
+		col, q, err := containsArgs(w, tbl)
 		if err != nil {
 			return false, err
 		}
-		ref, ok := colExpr.(*ColumnRef)
-		if !ok {
-			return false, nil
-		}
-		if _, hasUDF := e.DB.UDF("regexp_fpga"); !hasUDF {
-			// No hardware attached: the general evaluator runs the
-			// hardware-equivalent automaton row by row.
-			return false, nil
-		}
-		var op *plan.FPGARegexScan
-		op = plan.NewFPGARegexScan(detail, "fpga", func(ctx context.Context) (plan.ScanOut, error) {
-			out, err := e.DB.CallUDF(ctx, "regexp_fpga", tbl, ref.Column, pat)
+		op := plan.NewIndexLookup(detail, func(ctx context.Context) (plan.ScanOut, error) {
+			sel, err := scan(func() (*mdb.Selection, error) {
+				return e.DB.SelectContains(tbl, col, q)
+			})
 			if err != nil {
 				return plan.ScanOut{}, err
 			}
-			n := 0
-			for i := 0; i < out.Result.Count(); i++ {
-				if out.Result.Get(i) != 0 {
-					n++
-				}
+			st.work.Add(sel.Work)
+			return plan.ScanOut{Tally: int64(sel.Count()), TallyOnly: true}, nil
+		})
+		p.countPlan(op, "contains")
+		return true, nil
+	}
+	return false, nil
+}
+
+// hwPredicate is a hardware-eligible WHERE clause over a string column, the
+// shapes the placement machinery prices: REGEXP_LIKE(col, p), which the cost
+// model places, and REGEXP_FPGA(p, col) <>|= 0, the explicit hardware
+// operator.
+type hwPredicate struct {
+	column, pattern string
+	// forced marks REGEXP_FPGA; selectsZero its `= 0` form, which selects
+	// the non-matching rows.
+	forced, selectsZero bool
+}
+
+// hardwarePredicate recognises a hardware-eligible WHERE clause; nil for any
+// other shape.
+func hardwarePredicate(where Expr) (*hwPredicate, error) {
+	hp := &hwPredicate{}
+	var colExpr Expr
+	var err error
+	switch w := where.(type) {
+	case *FuncCall:
+		if w.Name != "REGEXP_LIKE" {
+			return nil, nil
+		}
+		colExpr, hp.pattern, err = regexpArgs(w)
+	case *BinaryExpr:
+		call, zero := fpgaPredicate(w)
+		if call == nil {
+			return nil, nil
+		}
+		hp.forced, hp.selectsZero = true, zero
+		colExpr, hp.pattern, err = regexpFPGAArgs(call)
+	default:
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	ref, ok := colExpr.(*ColumnRef)
+	if !ok {
+		return nil, nil
+	}
+	hp.column = ref.Column
+	return hp, nil
+}
+
+// planRegexCount plans count(*) over a hardware-eligible predicate: the
+// hardware leaf when the operator is explicit or the cost model offloads,
+// the software regex scan otherwise. It reports false when the statement
+// must go to the general pipeline instead.
+func (e *Engine) planRegexCount(p *physical, tbl *mdb.Table, detail string, hp *hwPredicate,
+	scan func(func() (*mdb.Selection, error)) (*mdb.Selection, error)) bool {
+	st := p.st
+	_, hasUDF := e.DB.UDF("regexp_fpga")
+	// Cost-based placement (§9): the decision is made at plan time and
+	// cached — a plan-cache hit reuses the recorded choice instead of
+	// re-running the estimator. The explicit operator is hardware by
+	// construction; its record is built when it runs.
+	var rec *explain.Record
+	offload, placement, path := hp.forced, "fpga", "udf"
+	if !hp.forced && e.Advisor != nil && hasUDF {
+		if p.hit && p.entry.advised {
+			rec = p.entry.rec.Clone()
+			offload = p.entry.offload
+		} else {
+			rec, offload = e.adviseRecord(hp.pattern, tbl.Rows(), avgStringLen(tbl, hp.column))
+			p.entry.advised = true
+			p.entry.offload = offload
+			if rec != nil {
+				p.entry.rec = rec.Clone()
 			}
-			if zero { // `= 0`: non-matching rows
+		}
+		if rec != nil && rec.Chosen != "" {
+			placement = rec.Chosen
+		}
+		path = "regexp->udf"
+	}
+	switch {
+	case offload && !hasUDF:
+		// No hardware attached: the general evaluator runs the
+		// hardware-equivalent automaton row by row.
+		return false
+	case offload:
+		var op *plan.FPGARegexScan
+		op = plan.NewFPGARegexScan(detail, placement, func(ctx context.Context) (plan.ScanOut, error) {
+			out, err := e.DB.CallUDF(explain.WithRecord(ctx, rec),
+				"regexp_fpga", tbl, hp.column, hp.pattern)
+			if err != nil {
+				return plan.ScanOut{}, err
+			}
+			n := out.Matches
+			if hp.selectsZero {
 				n = out.Result.Count() - n
 			}
 			st.work.Add(out.Work)
 			st.udf = out
 			st.decision = out.Decision
-			if out.Decision != nil {
-				if out.Decision.Chosen == "hybrid" {
+			if d := out.Decision; d != nil {
+				if d.Chosen == "hybrid" {
 					op.Info().Placement = "hybrid"
 				}
-				if out.Decision.SharedScan {
+				if d.SharedScan {
 					op.Info().Shared = true
 				}
 			}
 			return plan.ScanOut{Tally: int64(n), TallyOnly: true}, nil
 		})
-		p.countPlan(op, "udf")
-		return true, nil
+		st.decision = rec
+		p.countPlan(op, path)
+	default:
+		op := plan.NewSoftRegexFilter(detail, func(ctx context.Context) (plan.ScanOut, error) {
+			sel, err := scan(func() (*mdb.Selection, error) {
+				return e.DB.SelectRegexp(tbl, hp.column, hp.pattern, false)
+			})
+			if err != nil {
+				return plan.ScanOut{}, err
+			}
+			if rec != nil {
+				// The predicate stayed in software: the realized cost
+				// is the scan's own work, priced by the calibrated
+				// model.
+				e.Advisor.FinishSoftware(rec, sel.Work)
+			}
+			st.work.Add(sel.Work)
+			return plan.ScanOut{Tally: int64(sel.Count()), TallyOnly: true}, nil
+		})
+		st.decision = rec
+		p.countPlan(op, "regexp")
 	}
-	return false, nil
+	return true
 }
 
 // planGeneral compiles the general pipeline: Scan/HashJoin source, Filter,

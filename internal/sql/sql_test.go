@@ -470,3 +470,18 @@ func TestAggregateErrors(t *testing.T) {
 		t.Errorf("MIN over strings: %v %v", res, err)
 	}
 }
+
+// Session labels are numbered per database: two Systems in one process both
+// hand out s1, whatever engines the process built before.
+func TestSessionsNumberedPerSystem(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		s, err := core.NewSystem(core.Options{RegionBytes: 1 << 26})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if a, b := NewEngine(s.DB).ID, NewEngine(s.DB).ID; a != "s1" || b != "s2" {
+			t.Errorf("system %d: sessions %q, %q, want s1, s2", i, a, b)
+		}
+	}
+}
