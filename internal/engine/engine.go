@@ -13,6 +13,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,9 +111,13 @@ func (e *Engine) Execute(p JobParams) (Stats, error) {
 	return st, err
 }
 
-// run dispatches the strings over PU workers and collects results in input
-// order.
+// run loads the configuration into one PU, then dispatches the strings over
+// per-worker clones of it and collects results in input order.
 func (e *Engine) run(prog *token.Program, p JobParams) (Stats, error) {
+	unit, err := pu.New(prog)
+	if err != nil {
+		return Stats{}, err
+	}
 	workers := e.dev.Deployment.PUsPerEngine
 	if mp := runtime.GOMAXPROCS(0); workers > mp {
 		workers = mp
@@ -136,7 +141,7 @@ func (e *Engine) run(prog *token.Program, p JobParams) (Stats, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			stats[w], errs[w] = e.runRange(prog, p, lo, hi)
+			stats[w], errs[w] = runRange(unit.Clone(), p, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -154,11 +159,7 @@ func (e *Engine) run(prog *token.Program, p JobParams) (Stats, error) {
 }
 
 // runRange processes strings [lo, hi) with one PU.
-func (e *Engine) runRange(prog *token.Program, p JobParams, lo, hi int) (Stats, error) {
-	unit, err := pu.New(prog)
-	if err != nil {
-		return Stats{}, err
-	}
+func runRange(unit *pu.Unit, p JobParams, lo, hi int) (Stats, error) {
 	var st Stats
 	for i := lo; i < hi; i++ {
 		off := binary.LittleEndian.Uint32(p.Offsets[i*p.OffsetWidth:])
@@ -169,9 +170,9 @@ func (e *Engine) runRange(prog *token.Program, p JobParams, lo, hi int) (Stats, 
 		s := p.Heap[off:]
 		// Strings are null-terminated (§2.3.1); the String Reader
 		// parses up to the terminator.
-		end := 0
-		for end < len(s) && s[end] != 0 {
-			end++
+		end := bytes.IndexByte(s, 0)
+		if end < 0 {
+			end = len(s)
 		}
 		s = s[:end]
 		res := unit.Match(s)

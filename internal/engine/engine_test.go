@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"doppiodb/internal/bat"
@@ -12,7 +14,14 @@ import (
 
 func mkEngine(t *testing.T) *Engine {
 	t.Helper()
-	dev, err := fpga.NewDevice(fpga.DefaultDeployment())
+	return mkEngineWithPUs(t, fpga.DefaultDeployment().PUsPerEngine)
+}
+
+func mkEngineWithPUs(t *testing.T, pus int) *Engine {
+	t.Helper()
+	d := fpga.DefaultDeployment()
+	d.PUsPerEngine = pus
+	dev, err := fpga.NewDevice(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +90,11 @@ func TestExecuteMatchesExpectedPositions(t *testing.T) {
 }
 
 func TestExecuteParallelConsistency(t *testing.T) {
-	// Large inputs stripe across PU workers; results must be identical
-	// to the sequential path and land at the right indexes.
+	// Large inputs stripe across PU workers; the result column and the
+	// job's counters must not depend on how many, and every index must
+	// agree with the reference interpreter.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const pattern = `(Strasse|Str\.).*(8[0-9]{4})`
 	rows := make([]string, 10_000)
 	for i := range rows {
 		if i%7 == 0 {
@@ -91,25 +103,75 @@ func TestExecuteParallelConsistency(t *testing.T) {
 			rows[i] = fmt.Sprintf("row %d Lindenweg %d", i, i)
 		}
 	}
-	e := mkEngine(t)
-	p, res := mkParams(t, `(Strasse|Str\.).*(8[0-9]{4})`, rows)
-	st, err := e.Execute(p)
+	// Captured at the per-token-loop kernel: the simulated clock reads these.
+	want := Stats{Strings: 10_000, Matches: 1429, HeapBytes: 330_752, PUCycles: 240_801}
+
+	p1, res1 := mkParams(t, pattern, rows)
+	st1, err := mkEngineWithPUs(t, 1).Execute(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMatches := 0
-	prog, _ := token.CompilePattern(`(Strasse|Str\.).*(8[0-9]{4})`, token.Options{})
+	pN, resN := mkParams(t, pattern, rows)
+	stN, err := mkEngine(t).Execute(pN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1 != want || stN != want {
+		t.Errorf("stats: 1 worker %+v, N workers %+v, want %+v", st1, stN, want)
+	}
+	prog, _ := token.CompilePattern(pattern, token.Options{})
 	for i, r := range rows {
-		want := uint16(prog.MatchString(r))
-		if got := res.Get(i); got != want {
-			t.Fatalf("row %d: engine=%d reference=%d", i, got, want)
-		}
-		if want != 0 {
-			wantMatches++
+		ref := uint16(prog.MatchString(r))
+		if res1.Get(i) != ref || resN.Get(i) != ref {
+			t.Fatalf("row %d: 1 worker=%d N workers=%d reference=%d", i, res1.Get(i), resN.Get(i), ref)
 		}
 	}
-	if st.Matches != wantMatches {
-		t.Errorf("Matches = %d, want %d", st.Matches, wantMatches)
+}
+
+func TestStringReaderEdges(t *testing.T) {
+	// The String Reader parses from an offset up to the next NUL or, for an
+	// unterminated last string, up to the end of the heap.
+	heap := []byte("abc\x00\x00xabc\x00zzabc")
+	offsets := []uint32{
+		0,  // "abc"
+		3,  // the NUL that terminates it: empty
+		4,  // an empty string of its own
+		5,  // "xabc"
+		6,  // into the middle of a string: "abc"
+		9,  // a NUL again
+		10, // "zzabc", unterminated at heap end
+		14, // its last byte: "c"
+	}
+	wantRes := []uint16{3, 0, 0, 4, 3, 0, 5, 0}
+	wantLen := []int{3, 0, 0, 4, 3, 0, 5, 1}
+
+	p, _ := mkParams(t, `abc`, nil)
+	p.Heap = heap
+	p.Count = len(offsets)
+	p.Offsets = make([]byte, 4*len(offsets))
+	for i, off := range offsets {
+		binary.LittleEndian.PutUint32(p.Offsets[4*i:], off)
+	}
+	p.Result = make([]byte, 2*len(offsets))
+	st, err := mkEngine(t).Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Strings: len(offsets)}
+	for i, w := range wantRes {
+		if got := binary.LittleEndian.Uint16(p.Result[2*i:]); got != w {
+			t.Errorf("result[%d] (offset %d) = %d, want %d", i, offsets[i], got, w)
+		}
+		want.HeapBytes += bat.EntryStride(wantLen[i])
+		if w != 0 {
+			want.Matches++
+			want.PUCycles += uint64(w)
+		} else {
+			want.PUCycles += uint64(wantLen[i])
+		}
+	}
+	if st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 

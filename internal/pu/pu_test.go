@@ -7,6 +7,7 @@ import (
 
 	"doppiodb/internal/config"
 	"doppiodb/internal/token"
+	"doppiodb/internal/workload"
 )
 
 func mustUnit(t *testing.T, pat string, opts token.Options) *Unit {
@@ -43,6 +44,26 @@ func TestMatchPaperQueries(t *testing.T) {
 	}
 }
 
+// checkAgainstReference compares one Match call with the reference
+// interpreter: the saturated position, and the cycles charged for it.
+func checkAgainstReference(t *testing.T, prog *token.Program, u *Unit, in []byte) {
+	t.Helper()
+	want := prog.Match(in)
+	wantBytes := uint64(want)
+	if want == 0 {
+		wantBytes = uint64(len(in))
+	}
+	u.ResetStats()
+	got := u.Match(in)
+	if got != satPos(want) {
+		t.Fatalf("pattern %q fold=%v input %q: pu=%d reference=%d", prog.Source, prog.FoldCase, in, got, want)
+	}
+	if st := u.Stats(); st.Bytes != wantBytes || st.Strings != 1 || st.Matches != uint64(min(want, 1)) {
+		t.Fatalf("pattern %q fold=%v input %q: stats %+v, want Bytes=%d Matches=%d",
+			prog.Source, prog.FoldCase, in, st, wantBytes, min(want, 1))
+	}
+}
+
 func TestBitParallelMatchesReference(t *testing.T) {
 	// The bit-parallel circuit model must agree byte-for-byte with the
 	// slow reference interpreter on random patterns and inputs.
@@ -68,6 +89,23 @@ func TestBitParallelMatchesReference(t *testing.T) {
 			return build(d - 1)
 		}
 	}
+	// Short dense inputs exercise the state graph; long ones that are
+	// mostly filler exercise the idle skip and the wake-up after it.
+	const symbols = "abcxABC|8 "
+	input := func() []byte {
+		n, filler := r.Intn(18), 0
+		if r.Intn(3) == 0 {
+			n, filler = r.Intn(400), r.Intn(100)
+		}
+		in := make([]byte, n)
+		for j := range in {
+			in[j] = 'x'
+			if r.Intn(100) >= filler {
+				in[j] = symbols[r.Intn(len(symbols))]
+			}
+		}
+		return in
+	}
 	tested := 0
 	for i := 0; i < 500; i++ {
 		pat := build(3)
@@ -87,21 +125,63 @@ func TestBitParallelMatchesReference(t *testing.T) {
 		}
 		tested++
 		for k := 0; k < 25; k++ {
-			var b strings.Builder
-			for j := 0; j < r.Intn(18); j++ {
-				b.WriteByte("abcxA"[r.Intn(5)])
-			}
-			in := b.String()
-			want := prog.MatchString(in)
-			got := int(u.MatchString(in))
-			if got != want {
-				t.Fatalf("pattern %q input %q: pu=%d reference=%d", pat, in, got, want)
-			}
+			checkAgainstReference(t, prog, u, input())
 		}
 	}
 	if tested < 200 {
 		t.Fatalf("only %d patterns tested", tested)
 	}
+}
+
+func FuzzMatchAgainstReference(f *testing.F) {
+	patterns := []string{
+		workload.Q1Regex, workload.Q2, workload.Q3, workload.Q4, workload.QH,
+		`^abc`,                // entryAlways == 0: idle for good after offset 0
+		`^Str.*8[0-9]$`,       // both anchors around a hold
+		`a.*$`,                // held accept at end of string
+		`Weg$`,                // accept only on the last byte
+		`(Str\.|Strasse)`,     // shared prefix, two chain lengths
+		`(Herr |Frau )?Smith`, // optional prefix
+		`(ab)+c`,
+		`zq`,
+	}
+	row := "John|Smith|44 Koblenzer Strasse|80331|Muenchen|250EUR|XYZ:9911|delivery"
+	inputs := []string{
+		"",
+		"abc",
+		"xabc",
+		row,
+		// >= 256 B: the wake-up byte is rare, then a near miss re-arms the
+		// chain while it is still in flight.
+		strings.Repeat("Anna|Miller|9 Lindenweg|60327|Frankfurt am Main|", 6) + "StrasStrasse 81000 delivery",
+		strings.Repeat(".", 300) + "StrStr. StraStrasse 8123 88123",
+		strings.Repeat("Weg ", 80) + "a",
+		strings.Repeat("ab", 150) + "c",
+		strings.ToUpper(row) + strings.Repeat(" ", 256) + row,
+	}
+	for _, pat := range patterns {
+		for _, in := range inputs {
+			f.Add(pat, []byte(in), false)
+			f.Add(pat, []byte(in), true)
+		}
+	}
+	// Past 65535 the position saturates; the cycle count does not.
+	long := strings.Repeat("x", 70_000)
+	f.Add(`zq`, []byte(long+"zq"), false)
+	f.Add(`^x.*q$`, []byte(long+"zq"), false)
+	f.Add(workload.Q2, []byte(long+row), true)
+
+	f.Fuzz(func(t *testing.T, pat string, in []byte, fold bool) {
+		prog, err := token.CompilePattern(pat, token.Options{FoldCase: fold})
+		if err != nil {
+			t.Skip()
+		}
+		u, err := New(prog)
+		if err != nil {
+			t.Skip()
+		}
+		checkAgainstReference(t, prog, u, in)
+	})
 }
 
 func TestConfigVectorToUnit(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"doppiodb/internal/perf"
+	"doppiodb/internal/pu"
 	"doppiodb/internal/softregex"
 	"doppiodb/internal/strmatch"
 	"doppiodb/internal/token"
@@ -57,7 +58,7 @@ type evaluator struct {
 	rel  *relation
 	like map[*LikeExpr]*strmatch.LikePattern
 	re   map[*FuncCall]*softregex.Backtracker
-	hw   map[*FuncCall]*token.Program
+	hw   map[*FuncCall]func(string) int64
 	work perf.Work
 }
 
@@ -66,7 +67,7 @@ func newEvaluator(rel *relation) *evaluator {
 		rel:  rel,
 		like: make(map[*LikeExpr]*strmatch.LikePattern),
 		re:   make(map[*FuncCall]*softregex.Backtracker),
-		hw:   make(map[*FuncCall]*token.Program),
+		hw:   make(map[*FuncCall]func(string) int64),
 	}
 }
 
@@ -303,13 +304,20 @@ func (ev *evaluator) evalCall(x *FuncCall, row []any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog, ok := ev.hw[x]
+		match, ok := ev.hw[x]
 		if !ok {
-			prog, err = token.CompilePattern(pat, token.Options{})
+			prog, err := token.CompilePattern(pat, token.Options{})
 			if err != nil {
 				return nil, err
 			}
-			ev.hw[x] = prog
+			// The PU model where the program fits its circuit, else
+			// the reference interpreter, saturated like a PU result.
+			if unit, err := pu.New(prog); err == nil {
+				match = func(s string) int64 { return int64(unit.MatchString(s)) }
+			} else {
+				match = func(s string) int64 { return min(int64(prog.MatchString(s)), 0xFFFF) }
+			}
+			ev.hw[x] = match
 		}
 		v, err := ev.eval(col, row)
 		if err != nil {
@@ -319,7 +327,7 @@ func (ev *evaluator) evalCall(x *FuncCall, row []any) (any, error) {
 		if !ok {
 			return int64(0), nil
 		}
-		return int64(prog.MatchString(s)), nil
+		return match(s), nil
 	case "COUNT", "SUM", "MIN", "MAX", "AVG":
 		return nil, fmt.Errorf("sql: aggregate %s outside GROUP BY context", x.Name)
 	}

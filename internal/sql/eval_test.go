@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 
 	"doppiodb/internal/mdb"
@@ -275,5 +276,20 @@ func TestArithmeticExpressions(t *testing.T) {
 	}
 	if res.Rows[0][0].(int64) != 300 {
 		t.Errorf("sum of expression: %v", res.Rows[0][0])
+	}
+}
+
+func TestRegexpFPGARowAtATime(t *testing.T) {
+	// Without a device the HUDF is evaluated per row and still returns the
+	// match index: by the PU model where the program fits its circuit, by
+	// the reference interpreter where it does not.
+	e := evalEngine(t)
+	if got := ids(t, e, `SELECT REGEXP_FPGA('Strasse', name) FROM t`); !eqInts(got, 0, 0, 0, 0, 7) {
+		t.Errorf("match indexes: %v", got)
+	}
+	// 34 tokens: one more alternative than the state graph holds.
+	wide := "(" + strings.Join(strings.Split("abcdefghijklmnopqrstuvwxyz0123456", ""), "|") + ")a"
+	if got := ids(t, e, `SELECT REGEXP_FPGA('`+wide+`', name) FROM t`); !eqInts(got, 5, 4, 2, 4, 4) {
+		t.Errorf("over-capacity match indexes: %v", got)
 	}
 }
