@@ -122,6 +122,11 @@ type System struct {
 	// SharedScans turns on the shared-scan coalescer (see Options).
 	SharedScans bool
 
+	// probeMu guards probeInputs, the cost probe's synthesized rows by
+	// average string length (see probeInput).
+	probeMu     sync.Mutex
+	probeInputs map[int][]string
+
 	// scanMu guards inflight, the shared-scan coalescer's leader table.
 	scanMu   sync.Mutex
 	inflight map[scanKey]*scanShare

@@ -119,7 +119,7 @@ func (s *System) estimate(p *prepared, n int, avgLen int, queued int64) (*CostEs
 	// Software: the backtracker's steps over a probe of synthesized rows
 	// of the same length, scaled to n rows under the calibrated model.
 	rows := max(min(n, probeRows), 1)
-	steps, err := p.probeSteps(avgLen, rows)
+	steps, err := p.probeSteps(avgLen, s.probeInput(avgLen)[:rows])
 	if err != nil {
 		return nil, err
 	}

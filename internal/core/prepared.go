@@ -129,13 +129,39 @@ func SplitPattern(pattern string, lim config.Limits, opts token.Options) (hwPart
 	return p.hwPat, p.swPat, p.splitErr
 }
 
+// maxProbeInputs bounds System.probeInputs: a length per distinct average
+// string length the planner has asked about, a handful in any real schema.
+const maxProbeInputs = 8
+
+// probeInput returns the cost probe's rows for strings of avgLen bytes:
+// probeRows non-matching rows from a fixed-seed generator. They are a pure
+// function of avgLen, so they are synthesized once per length, not once
+// per pattern; a probe of fewer rows reads a prefix.
+func (s *System) probeInput(avgLen int) []string {
+	s.probeMu.Lock()
+	defer s.probeMu.Unlock()
+	if rows, ok := s.probeInputs[avgLen]; ok {
+		return rows
+	}
+	if s.probeInputs == nil || len(s.probeInputs) >= maxProbeInputs {
+		s.probeInputs = make(map[int][]string)
+	}
+	g := workload.NewGenerator(1, avgLen)
+	rows := make([]string, probeRows)
+	for i := range rows {
+		rows[i] = g.Row(workload.HitNone)
+	}
+	s.probeInputs[avgLen] = rows
+	return rows
+}
+
 // probeSteps is the software candidate's probe: the backtracker steps the
-// pattern costs over `rows` synthesized non-matching rows of avgLen bytes.
-// The generator seed is fixed and the probe is always exact-case, so the
-// count is a pure function of the pattern and the key and is run once per
-// artifact; concurrent queries asking for the same key wait for the one run.
-func (p *prepared) probeSteps(avgLen, rows int) (uint64, error) {
-	key := probeKey{avgLen, rows}
+// pattern costs over input, the first rows of probeInput(avgLen). The probe
+// is always exact-case, so the count is a pure function of the pattern and
+// the key and is run once per artifact; concurrent queries asking for the
+// same key wait for the one run.
+func (p *prepared) probeSteps(avgLen int, input []string) (uint64, error) {
+	key := probeKey{avgLen, len(input)}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if steps, ok := p.steps[key]; ok {
@@ -145,10 +171,9 @@ func (p *prepared) probeSteps(avgLen, rows int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	g := workload.NewGenerator(1, avgLen)
 	var steps uint64
-	for i := 0; i < rows; i++ {
-		_, st := bt.MatchString(g.Row(workload.HitNone))
+	for _, row := range input {
+		_, st := bt.MatchString(row)
 		steps += st
 	}
 	if p.steps == nil {

@@ -192,3 +192,47 @@ func TestConcurrentExecsSharePreparedPattern(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// The cost probe's step counts at the planner's usual key, captured from
+// the closure-CPS backtracker with per-pattern row synthesis: every
+// software estimate scales from these, so they may not move. The rows
+// behind them are synthesized once per length and the store stays bounded.
+func TestProbeStepsPinnedAndRowsShared(t *testing.T) {
+	s, err := NewSystem(Options{RegionBytes: 1 << 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, c := range []struct {
+		pattern         string
+		steps, steps100 uint64
+	}{
+		{workload.Q1Regex, 66610, 13008},
+		{workload.Q2, 199780, 39016},
+		{workload.Q3, 172864, 33756},
+		{workload.Q4, 132880, 26037},
+		{workload.QH, 199780, 39016},
+	} {
+		p, err := preparePattern(c.pattern, token.Options{}, config.DefaultLimits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // the second read is the artifact's memo
+			if got, err := p.probeSteps(64, s.probeInput(64)); err != nil || got != c.steps {
+				t.Errorf("%q: probe over (64, 512) = %d, %v; want %d", c.pattern, got, err, c.steps)
+			}
+		}
+		if got, _ := p.probeSteps(64, s.probeInput(64)[:100]); got != c.steps100 {
+			t.Errorf("%q: probe over (64, 100) = %d, want %d", c.pattern, got, c.steps100)
+		}
+	}
+	if a, b := s.probeInput(64), s.probeInput(64); len(a) != probeRows || &a[0] != &b[0] {
+		t.Error("probe rows of one length were synthesized twice")
+	}
+	for l := 1; l <= 3*maxProbeInputs; l++ {
+		s.probeInput(l)
+	}
+	if len(s.probeInputs) > maxProbeInputs {
+		t.Errorf("probe row store holds %d lengths, bound %d", len(s.probeInputs), maxProbeInputs)
+	}
+}

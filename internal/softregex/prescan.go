@@ -22,14 +22,22 @@ func (b *Backtracker) SetStartOptimization(on bool) string {
 		b.prescan = nil
 		return ""
 	}
-	lit := RequiredLiteralPrefix(b.ast)
-	if len(lit) < 2 || b.fold {
-		// One byte does not pay for a BM pass; folded patterns would
-		// need a case-folded search — keep it simple and skip.
+	if b.prefix == "" {
 		return ""
 	}
-	b.prescan = strmatch.NewBoyerMoore([]byte(lit), false)
-	b.prefixLen = len(lit)
+	b.prescan = strmatch.NewBoyerMoore([]byte(b.prefix), false)
+	return b.prefix
+}
+
+// searchPrefix is the prefix the start optimization searches for: the
+// required literal prefix, or "" when it does not pay — one byte does not
+// pay for a BM pass; folded patterns would need a case-folded search, so
+// keep it simple and skip.
+func searchPrefix(ast *regex.Node, foldCase bool) string {
+	lit := RequiredLiteralPrefix(ast)
+	if len(lit) < 2 || foldCase {
+		return ""
+	}
 	return lit
 }
 

@@ -1,0 +1,5 @@
+//go:build race
+
+package softregex
+
+const raceEnabled = true

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"doppiodb/internal/token"
+	"doppiodb/internal/workload"
 )
 
 func TestBacktrackerBasics(t *testing.T) {
@@ -132,7 +133,8 @@ func TestDFAStateGrowth(t *testing.T) {
 
 func TestEnginesAgreeProperty(t *testing.T) {
 	// Backtracker (boolean), Thompson and DFA (positions) must agree
-	// with the hardware token automaton on random patterns.
+	// with the hardware token automaton on random patterns, and the
+	// Backtracker with the reference interpreter on position and steps.
 	r := rand.New(rand.NewSource(23))
 	atoms := []string{"a", "b", "[ab]", "c", "."}
 	var build func(d int) string
@@ -171,6 +173,10 @@ func TestEnginesAgreeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backtracker %q: %v", pat, err)
 		}
+		ref, err := newRefBacktracker(pat, false)
+		if err != nil {
+			t.Fatalf("reference %q: %v", pat, err)
+		}
 		th, err := NewThompson(pat, false)
 		if err != nil {
 			t.Fatalf("thompson %q: %v", pat, err)
@@ -186,7 +192,11 @@ func TestEnginesAgreeProperty(t *testing.T) {
 			}
 			in := sb.String()
 			want := prog.MatchString(in)
-			btPos, _ := bt.MatchString(in)
+			btPos, btSteps := bt.MatchString(in)
+			if refPos, refSteps, _ := ref.match([]byte(in), 1<<40); btPos != refPos || btSteps != refSteps {
+				t.Fatalf("%q on %q: backtracker=(%d, %d steps) reference=(%d, %d steps)",
+					pat, in, btPos, btSteps, refPos, refSteps)
+			}
 			thPos, _ := th.MatchString(in)
 			dfPos, _, dfErr := df.MatchString(in)
 			if dfErr != nil {
@@ -232,12 +242,35 @@ func TestCompileErrorsPropagate(t *testing.T) {
 	}
 }
 
+// benchSink keeps the measured calls' results live.
+var benchSink int
+
 func BenchmarkBacktrackerComplex64B(b *testing.B) {
-	bt, _ := NewBacktracker(`(Strasse|Str\.).*(8[0-9]{4})`, false)
-	in := []byte("John|Smith|44 Koblenzer Weg|60327|Frankfurt am Main padding..")
-	b.SetBytes(int64(len(in)))
-	for i := 0; i < b.N; i++ {
-		bt.Match(in)
+	// The miss row is the one the Thompson and DFA benchmarks below use;
+	// the hit rows are the golden test's.
+	const miss = "John|Smith|44 Koblenzer Weg|60327|Frankfurt am Main padding.."
+	for _, q := range []struct{ name, pat, row string }{
+		{"q2/hit", workload.Q2, goldenInputs[1]},
+		{"q2/miss", workload.Q2, miss},
+		{"q3/hit", workload.Q3, goldenInputs[3]},
+		{"q3/miss", workload.Q3, miss},
+		{"q4/hit", workload.Q4, goldenInputs[4]},
+		{"q4/miss", workload.Q4, miss},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			bt, err := NewBacktracker(q.pat, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := []byte(q.row)
+			b.SetBytes(int64(len(in)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pos, _ := bt.Match(in)
+				benchSink += pos
+			}
+		})
 	}
 }
 
