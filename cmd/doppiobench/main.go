@@ -259,8 +259,9 @@ func main() {
 		}
 	}
 	if *metOut != "" {
-		// The snapshot document plus a health section; ParseSnapshot ignores
-		// unknown keys, so existing consumers keep working.
+		// The snapshot document plus a health section; decoding it into a
+		// telemetry.Snapshot ignores the extra key, so existing consumers
+		// keep working.
 		doc := struct {
 			telemetry.Snapshot
 			Health hal.HealthCounters `json:"health"`

@@ -183,15 +183,6 @@ func (s *Strings) HeapBytes() []byte { return s.heap.buf[:s.heapUsed] }
 // OffsetBytes returns the raw offset tail, as mapped for the FPGA.
 func (s *Strings) OffsetBytes() []byte { return s.offs.buf[:s.count*OffsetWidth] }
 
-// HeapAddr and OffsetAddr return the shared-memory addresses of the two
-// allocations (zero when the column is not region-backed).
-func (s *Strings) HeapAddr() shmem.Addr   { return s.heap.addr }
-func (s *Strings) OffsetAddr() shmem.Addr { return s.offs.addr }
-
-// HeapUsed returns the heap bytes in use, including header, metadata and
-// padding — the volume the FPGA actually reads.
-func (s *Strings) HeapUsed() int { return s.heapUsed }
-
 // PayloadBytes returns the useful string bytes (excluding metadata,
 // padding, offsets), the numerator of the paper's "useful throughput".
 func (s *Strings) PayloadBytes() int { return s.payload }

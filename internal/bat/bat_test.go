@@ -49,7 +49,7 @@ func TestStringsAppendGet(t *testing.T) {
 				t.Errorf("Get(%d) = %q, want %q", i, got, v)
 			}
 		}
-		if region != nil && (s.HeapAddr() == 0 || s.OffsetAddr() == 0) {
+		if region != nil && (s.heap.addr == 0 || s.offs.addr == 0) {
 			t.Error("region-backed column has zero addresses")
 		}
 		s.Free()
@@ -77,8 +77,8 @@ func TestStringsHeapLayout(t *testing.T) {
 	if string(heap[off0:off0+3]) != "abc" || heap[off0+3] != 0 {
 		t.Error("heap entry not null-terminated at offset")
 	}
-	if s.HeapUsed() != HeapHeader+EntryStride(3)+EntryStride(2) {
-		t.Errorf("HeapUsed = %d", s.HeapUsed())
+	if s.heapUsed != HeapHeader+EntryStride(3)+EntryStride(2) {
+		t.Errorf("heap bytes in use = %d", s.heapUsed)
 	}
 	if s.PayloadBytes() != 5 {
 		t.Errorf("PayloadBytes = %d, want 5", s.PayloadBytes())

@@ -370,14 +370,15 @@ func (s *System) Exec(ctx context.Context, col *bat.Strings, pattern string, opt
 		}
 		run := func() (*Result, error) {
 			r, rErr := attempt()
-			// Query-level retry: a transient fault (watchdog timeout, handshake
-			// loss, single-engine drop) may heal between attempts — readmission
-			// probes run, wedged engines recover — so re-run the hardware attempt
-			// under the per-query budget, charging the exponential backoff (plus
-			// deterministic seeded jitter) as simulated PhaseRetry time. Permanent
-			// faults and admission errors (ErrOverload, ErrDeadlineExceeded) skip
-			// straight past this loop.
-			for rErr != nil && hal.IsTransient(rErr) &&
+			// Query-level retry: a hardware fault (watchdog timeout, handshake
+			// loss, engine drop, quarantine) may heal between attempts —
+			// readmission probes run, wedged engines recover — so re-run the
+			// hardware attempt under the per-query budget, charging the
+			// exponential backoff (plus deterministic seeded jitter) as simulated
+			// PhaseRetry time. Admission errors (ErrOverload,
+			// ErrDeadlineExceeded) are not faults and skip straight past this
+			// loop.
+			for rErr != nil && hal.IsFault(rErr) &&
 				retries < s.Retry.MaxRetries && ctx.Err() == nil {
 				d := s.Retry.Delay(retries, pattern)
 				retries++
@@ -450,16 +451,6 @@ func (s *System) Exec(ctx context.Context, col *bat.Strings, pattern string, opt
 	return res, nil
 }
 
-// ExecLike offloads a LIKE/ILIKE pattern by translating it to the regex
-// dialect (Q1's path in the evaluation).
-func (s *System) ExecLike(ctx context.Context, col *bat.Strings, like string, foldCase bool) (*Result, error) {
-	lp, err := strmatch.CompileLike(like, foldCase)
-	if err != nil {
-		return nil, err
-	}
-	return s.Exec(ctx, col, lp.ToRegex(), token.Options{FoldCase: foldCase})
-}
-
 // execDirect runs a fully offloaded query, partitioned across all engines
 // (the FPGA parallelizes a single query by horizontally partitioning the
 // input, §7.5): submit the partitions, dispatch them to the device runtime
@@ -507,7 +498,7 @@ func (s *System) execDirect(ctx context.Context, col *bat.Strings, pp *prepared,
 	jobs, err := s.submitPartitioned(ctx, pp.vec, col, result)
 	if err != nil {
 		// Release the partitions that did submit: they must not linger in
-		// the distributor's accounting (or hold status blocks) after the
+		// the HAL's queued-volume accounting (or hold status blocks) after the
 		// query abandons them.
 		s.HAL.Discard(jobs...)
 		return nil, err

@@ -74,22 +74,26 @@ func TestExecAgainstSoftwareOracle(t *testing.T) {
 	}
 }
 
+// TestExecLike offloads Q1: its LIKE '%Strasse%' runs on the engines as the
+// regex Strasse.
 func TestExecLike(t *testing.T) {
 	s := newSystem(t)
 	tbl, hits := loadTable(t, s, 8_000, workload.HitQ1, 0.2)
 	col, _ := tbl.Column("address_string")
-	res, err := s.ExecLike(context.Background(), col.Strs, workload.Q1Like, false)
+	res, err := s.Exec(context.Background(), col.Strs, workload.Q1Regex, token.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MatchCount != hits {
-		t.Errorf("ExecLike matched %d, want %d", res.MatchCount, hits)
+		t.Errorf("Q1 matched %d, want %d", res.MatchCount, hits)
 	}
 	if res.Hybrid {
 		t.Error("Q1 should not need hybrid execution")
 	}
 }
 
+// TestExecILikeCollation offloads ILIKE '%Strasse%' as the regex Strasse
+// under case folding.
 func TestExecILikeCollation(t *testing.T) {
 	s := newSystem(t)
 	rows := []string{"KOBLENZER STRASSE 1", "koblenzer strasse 2", "Lindenweg 3"}
@@ -98,7 +102,7 @@ func TestExecILikeCollation(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, _ := tbl.Column("address_string")
-	res, err := s.ExecLike(context.Background(), col.Strs, `%Strasse%`, true)
+	res, err := s.Exec(context.Background(), col.Strs, `Strasse`, token.Options{FoldCase: true})
 	if err != nil {
 		t.Fatal(err)
 	}

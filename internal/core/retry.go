@@ -12,8 +12,8 @@ import (
 // will recover, a wedged done bit that clears on the next submission. Before
 // degrading such a query to the software operator, Exec re-runs the
 // hardware attempt under a per-query retry budget with exponential backoff
-// and deterministic seeded jitter. Permanent faults (the whole fabric
-// quarantined, per hal.IsTransient) skip the retries and degrade at once.
+// and deterministic seeded jitter. Every hardware fault (hal.IsFault) is
+// retried; admission refusals are not faults and are never retried.
 //
 // The backoff is pure simulated time: no wall-clock sleep is taken — the
 // delay is charged to the query's breakdown as PhaseRetry — and the jitter

@@ -183,7 +183,7 @@ func TestSharedScanEndToEnd(t *testing.T) {
 	}
 
 	const n = 8
-	groupsBefore := s.HAL.DispatchedGroups()
+	groupsBefore := s.HAL.GroupsDispatched()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	results := make([]*Result, n)
@@ -221,7 +221,7 @@ func TestSharedScanEndToEnd(t *testing.T) {
 	if int64(shared) != followers {
 		t.Errorf("shared results %d != followers counter %d", shared, followers)
 	}
-	groups := s.HAL.DispatchedGroups() - groupsBefore
+	groups := s.HAL.GroupsDispatched() - groupsBefore
 	if groups != leaders {
 		t.Errorf("dispatched groups %d != leaders %d", groups, leaders)
 	}
@@ -237,7 +237,7 @@ func TestSharedScanEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before2 := s2.HAL.DispatchedGroups()
+	before2 := s2.HAL.GroupsDispatched()
 	var wg2 sync.WaitGroup
 	start2 := make(chan struct{})
 	for i := 0; i < n; i++ {
@@ -252,7 +252,7 @@ func TestSharedScanEndToEnd(t *testing.T) {
 	}
 	close(start2)
 	wg2.Wait()
-	if got := s2.HAL.DispatchedGroups() - before2; got != n {
+	if got := s2.HAL.GroupsDispatched() - before2; got != n {
 		t.Errorf("uncoalesced system dispatched %d groups for %d queries", got, n)
 	}
 }

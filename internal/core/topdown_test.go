@@ -149,12 +149,15 @@ func TestTopdownHWStatsSumJobCompletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay := s.HAL.SimEpoch()
-	comps, err := s.HAL.Run(ctx, jobs...)
-	if err != nil {
+	if err := s.HAL.DispatchContext(ctx, jobs...); err != nil {
 		t.Fatal(err)
 	}
-	want := HWStats{Jobs: len(comps)}
-	for _, c := range comps {
+	want := HWStats{Jobs: len(jobs)}
+	for _, j := range jobs {
+		c, err := j.Await(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want.Add(c.JobLedger)
 		if c.HWTime() > want.Time {
 			want.Time = c.HWTime()

@@ -16,6 +16,7 @@ import (
 	"doppiodb/internal/obs"
 	"doppiodb/internal/sim"
 	"doppiodb/internal/telemetry"
+	"doppiodb/internal/token"
 	"doppiodb/internal/workload"
 )
 
@@ -46,7 +47,7 @@ func bootMon(t *testing.T) (*Server, *telemetry.Registry, *flightrec.Recorder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.ExecLike(context.Background(), col.Strs, workload.Q1Like, false); err != nil {
+	if _, err := sys.Exec(context.Background(), col.Strs, workload.Q1Regex, token.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := Start("127.0.0.1:0", Config{Registry: reg, Recorder: rec, Health: sys.HAL, Obs: ob})
@@ -155,8 +156,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// JSON variant parses back into the identical snapshot.
 	_, jbody := get(t, "http://"+srv.Addr()+"/metrics?format=json")
-	parsed, err := telemetry.ParseSnapshot(jbody)
-	if err != nil {
+	var parsed telemetry.Snapshot
+	if err := json.Unmarshal(jbody, &parsed); err != nil {
 		t.Fatalf("/metrics?format=json did not parse: %v", err)
 	}
 	if parsed.Counter("core.queries") != 1 {

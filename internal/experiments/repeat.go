@@ -102,7 +102,7 @@ func repeatQuery() string {
 func runRepeatPass(s *core.System, e *sql.Engine, label string, clients, rounds int, concurrent bool) (RepeatPass, error) {
 	q := repeatQuery()
 	base := s.Tel.Snapshot().Counters
-	groupsBefore := s.HAL.DispatchedGroups()
+	groupsBefore := s.HAL.GroupsDispatched()
 
 	var mu sync.Mutex
 	var compile sim.Time
@@ -163,7 +163,7 @@ func runRepeatPass(s *core.System, e *sql.Engine, label string, clients, rounds 
 		PlanCacheMisses: delta("plan.cache_misses"),
 		ConfigCacheHits: delta("core.config_cache_hits"),
 		CompileNS:       int64(compile / sim.Nanosecond),
-		JobGroups:       s.HAL.DispatchedGroups() - groupsBefore,
+		JobGroups:       s.HAL.GroupsDispatched() - groupsBefore,
 		Leaders:         delta("core.sharedscan.leaders"),
 		Followers:       delta("core.sharedscan.followers"),
 	}, nil

@@ -52,8 +52,6 @@ const (
 	// QPIDegrade scales the simulated QPI bandwidth down for the whole
 	// batch.
 	QPIDegrade
-
-	numClasses
 )
 
 // String names the class the way the spec grammar and telemetry do.
@@ -96,20 +94,13 @@ type Options struct {
 	DropRecover int
 }
 
-// enabled reports whether any class can fire.
-func (o Options) enabled() bool {
-	return o.StuckDone > 0 || o.ConfigCorrupt > 0 || o.StatusCorrupt > 0 ||
-		o.HandshakeLoss > 0 || (o.QPIFactor > 0 && o.QPIFactor < 1) || o.DropEnabled
-}
-
 // Injector is a deterministic fault source. All methods are safe for
 // concurrent use and nil-safe (a nil injector never fires).
 type Injector struct {
-	mu       sync.Mutex
-	opts     Options
-	rng      uint64
-	injected [numClasses]int64
-	drop     struct {
+	mu   sync.Mutex
+	opts Options
+	rng  uint64
+	drop struct {
 		accepted int // jobs the drop engine has accepted so far
 		down     bool
 		probes   int // readmission probes seen while down
@@ -129,10 +120,6 @@ func NewFromSpec(spec string) (*Injector, error) {
 	}
 	return New(o), nil
 }
-
-// Enabled reports whether any fault class can fire. A nil injector is
-// disabled.
-func (in *Injector) Enabled() bool { return in != nil && in.opts.enabled() }
 
 // next advances the splitmix64 stream. Caller holds in.mu.
 func (in *Injector) next() uint64 {
@@ -171,34 +158,26 @@ func (in *Injector) rate(c Class) float64 {
 	return 0
 }
 
-// Hit decides whether probabilistic class c fires at this opportunity,
-// counting the injection when it does.
+// Hit decides whether probabilistic class c fires at this opportunity.
 func (in *Injector) Hit(c Class) bool {
 	if in == nil {
 		return false
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if !in.chance(in.rate(c)) {
-		return false
-	}
-	in.injected[c]++
-	return true
+	return in.chance(in.rate(c))
 }
 
 // QPIFactor returns the bandwidth degradation factor, or 0 when the class
-// is off. The first call that reports a degraded batch counts it.
+// is off.
 func (in *Injector) QPIFactor() float64 {
 	if in == nil {
 		return 0
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	f := in.opts.QPIFactor
 	if f <= 0 || f >= 1 {
 		return 0
 	}
-	in.injected[QPIDegrade]++
 	return f
 }
 
@@ -218,7 +197,6 @@ func (in *Injector) EngineAccepts(e int) bool {
 	}
 	if in.drop.accepted >= in.opts.DropAfter {
 		in.drop.down = true
-		in.injected[EngineDrop]++
 		return false
 	}
 	in.drop.accepted++
@@ -279,16 +257,6 @@ func (in *Injector) Clobber(buf []byte) {
 	for i := range buf {
 		buf[i] ^= 0xA5
 	}
-}
-
-// Injected returns how many times class c has fired.
-func (in *Injector) Injected(c Class) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.injected[c]
 }
 
 // Parse decodes the -faults / DOPPIO_FAULTS spec grammar:

@@ -7,9 +7,6 @@ import (
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Error("nil injector enabled")
-	}
 	if in.Hit(StuckDone) || in.Hit(ConfigCorrupt) {
 		t.Error("nil injector fired")
 	}
@@ -26,9 +23,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	in.FlipByte(buf)
 	if !bytes.Equal(buf, []byte{1, 2, 3}) {
 		t.Error("nil injector flipped a byte")
-	}
-	if in.Injected(StuckDone) != 0 {
-		t.Error("nil injector counted an injection")
 	}
 }
 
@@ -72,9 +66,6 @@ func TestZeroRateConsumesNoStream(t *testing.T) {
 
 func TestEngineDropLifecycle(t *testing.T) {
 	in := New(Options{DropEnabled: true, DropEngine: 1, DropAfter: 2, DropRecover: 3})
-	if !in.Enabled() {
-		t.Fatal("drop-only injector reports disabled")
-	}
 	// Other engines are never affected.
 	for i := 0; i < 10; i++ {
 		if !in.EngineAccepts(0) || !in.EngineAccepts(2) {
@@ -87,9 +78,6 @@ func TestEngineDropLifecycle(t *testing.T) {
 	}
 	if in.EngineAccepts(1) {
 		t.Fatal("drop engine accepted past DropAfter")
-	}
-	if in.Injected(EngineDrop) != 1 {
-		t.Errorf("EngineDrop injections = %d", in.Injected(EngineDrop))
 	}
 	// Recovers on the third readmission probe, then runs again.
 	if in.ProbeEngine(1) || in.ProbeEngine(1) {
@@ -187,7 +175,7 @@ func TestFromEnv(t *testing.T) {
 	}
 	t.Setenv(EnvVar, "stuck-done=0.5,seed=9")
 	in, err := FromEnv()
-	if err != nil || in == nil || !in.Enabled() {
+	if err != nil || in == nil || in.opts.StuckDone != 0.5 || in.opts.Seed != 9 {
 		t.Fatalf("FromEnv: %v %v", in, err)
 	}
 	t.Setenv(EnvVar, "garbage=1")

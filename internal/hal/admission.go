@@ -1,7 +1,7 @@
 // Bounded admission and deadline propagation: the overload-protection half
-// of the device runtime. The FIFO backlog behind Dispatch is capped in three
-// dimensions — waiting groups, waiting jobs, and queued bytes — and a
-// dispatch that would breach a cap is either shed immediately (fail fast
+// of the device runtime. The FIFO backlog behind DispatchContext is capped
+// in three dimensions — waiting groups, waiting jobs, and queued bytes — and
+// a dispatch that would breach a cap is either shed immediately (fail fast
 // with ErrOverload) or blocked until the backlog drains or the caller's
 // context expires, per the configured policy.
 //
@@ -88,13 +88,6 @@ func (h *HAL) SetAdmission(l AdmissionLimits) {
 	h.mu.Unlock()
 }
 
-// Admission returns the installed backlog caps.
-func (h *HAL) Admission() AdmissionLimits {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.admission
-}
-
 // budgetKey carries a simulated completion budget through a context.
 type budgetKey struct{}
 
@@ -159,7 +152,10 @@ func (h *HAL) etaLocked() sim.Time {
 	return sim.FromSeconds(float64(queued)/h.params.QPIBandwidth) + ParametrizeTime
 }
 
-// DispatchContext is Dispatch honoring ctx: the context's simulated budget
+// DispatchContext hands a group of submitted jobs to the device runtime as
+// one admission unit and returns once the group is in the backlog; each
+// job's Await delivers its completion record. The runtime's event loop
+// starts lazily on the first dispatch. The context's simulated budget
 // (WithBudget) is enforced at admission and at round boundaries, and the
 // configured AdmissionLimits are applied — shedding with ErrOverload or
 // blocking with backpressure until room frees up or ctx expires.
@@ -223,9 +219,10 @@ func (h *HAL) DispatchContext(ctx context.Context, jobs ...*Job) error {
 				Arg:  int64(len(jobs)),
 				Note: "backlog at cap",
 			})
+			limits := h.admission // SetAdmission may rewrite it once unlocked
 			h.mu.Unlock()
 			return fmt.Errorf("hal: %d-job group vs caps %+v: %w",
-				len(jobs), h.admission, ErrOverload)
+				len(jobs), limits, ErrOverload)
 		}
 		if err := ctx.Err(); err != nil {
 			h.tel.Counter("hal.admission.shed").Inc()

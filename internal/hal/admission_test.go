@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,20 +32,12 @@ func TestAdmissionShedAtCap(t *testing.T) {
 	h.Pause()
 	var admitted []*Job
 	for i := 0; i < 2; i++ {
-		j, err := h.Submit(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Dispatch(j); err != nil {
-			t.Fatal(err)
-		}
+		j := submit(t, h, i, p)
+		dispatch(t, h, j)
 		admitted = append(admitted, j)
 	}
-	over, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Dispatch(over); !errors.Is(err, ErrOverload) {
+	over := submit(t, h, 2, p)
+	if err := h.DispatchContext(context.Background(), over); !errors.Is(err, ErrOverload) {
 		t.Fatalf("over-cap dispatch err = %v, want ErrOverload", err)
 	}
 	if got := reg.Counter("hal.admission.shed").Value(); got != 1 {
@@ -60,13 +53,13 @@ func TestAdmissionShedAtCap(t *testing.T) {
 	// Byte and job caps shed too.
 	h.SetAdmission(AdmissionLimits{MaxBytes: 1, Policy: PolicyShed})
 	h.Pause()
-	a, _ := h.Submit(p)
-	b, _ := h.Submit(p)
-	if err := h.Dispatch(a); !errors.Is(err, ErrOverload) {
+	a := submit(t, h, 0, p)
+	b := submit(t, h, 1, p)
+	if err := h.DispatchContext(context.Background(), a); !errors.Is(err, ErrOverload) {
 		t.Fatalf("byte-cap dispatch err = %v", err)
 	}
 	h.SetAdmission(AdmissionLimits{MaxJobs: 1, Policy: PolicyShed})
-	if err := h.Dispatch(a, b); !errors.Is(err, ErrOverload) {
+	if err := h.DispatchContext(context.Background(), a, b); !errors.Is(err, ErrOverload) {
 		t.Fatalf("job-cap dispatch err = %v", err)
 	}
 	h.Discard(a, b)
@@ -82,17 +75,9 @@ func TestAdmissionBlockBackpressure(t *testing.T) {
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc", "zzz"})
 	h.SetAdmission(AdmissionLimits{MaxGroups: 1, Policy: PolicyBlock})
 	h.Pause()
-	first, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Dispatch(first); err != nil {
-		t.Fatal(err)
-	}
-	second, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := submit(t, h, 0, p)
+	dispatch(t, h, first)
+	second := submit(t, h, 1, p)
 	dispatched := make(chan error, 1)
 	go func() { dispatched <- h.DispatchContext(context.Background(), second) }()
 	// The dispatcher must actually park: it cannot proceed while the
@@ -127,23 +112,15 @@ func TestAdmissionBlockHonorsContext(t *testing.T) {
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc", "zzz"})
 	h.SetAdmission(AdmissionLimits{MaxGroups: 1, Policy: PolicyBlock})
 	h.Pause()
-	first, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Dispatch(first); err != nil {
-		t.Fatal(err)
-	}
-	second, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := submit(t, h, 0, p)
+	dispatch(t, h, first)
+	second := submit(t, h, 1, p)
 	ctx, cancel := context.WithCancel(context.Background())
 	dispatched := make(chan error, 1)
 	go func() { dispatched <- h.DispatchContext(ctx, second) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
-	err = <-dispatched
+	err := <-dispatched
 	if !errors.Is(err, ErrOverload) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned dispatch err = %v, want ErrOverload and context.Canceled", err)
 	}
@@ -163,12 +140,9 @@ func TestAdmissionDeadlineRefusal(t *testing.T) {
 	h, region := newHAL(t)
 	reg := privateReg(h)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc", "zzz"})
-	j, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, h, 0, p)
 	ctx := WithBudget(context.Background(), 1*sim.Nanosecond)
-	err = h.DispatchContext(ctx, j)
+	err := h.DispatchContext(ctx, j)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -183,10 +157,7 @@ func TestAdmissionDeadlineRefusal(t *testing.T) {
 	}
 	h.Discard(j)
 	// A budget the ETA fits inside admits normally.
-	j2, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j2 := submit(t, h, 0, p)
 	if err := h.DispatchContext(WithBudget(context.Background(), sim.Second), j2); err != nil {
 		t.Fatalf("generous budget refused: %v", err)
 	}
@@ -215,19 +186,11 @@ func TestAdmissionDeadlineExpiresInQueue(t *testing.T) {
 	// group cannot ride along in round one.
 	var fillers []*Job
 	for i := 0; i < DefaultAdmissionCap; i++ {
-		j, err := h.SubmitTo(0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Dispatch(j); err != nil {
-			t.Fatal(err)
-		}
+		j := submit(t, h, 0, p)
+		dispatch(t, h, j)
 		fillers = append(fillers, j)
 	}
-	late, err := h.SubmitTo(0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	late := submit(t, h, 0, p)
 	h.mu.Lock()
 	eta := h.etaLocked()
 	h.mu.Unlock()
@@ -244,7 +207,7 @@ func TestAdmissionDeadlineExpiresInQueue(t *testing.T) {
 			t.Fatalf("await filler %d: %v", i, err)
 		}
 	}
-	_, err = late.Await(context.Background())
+	_, err := late.Await(context.Background())
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("overdue group err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -266,13 +229,8 @@ func TestStateMachine(t *testing.T) {
 	}
 	h.SetAdmission(AdmissionLimits{MaxGroups: 1, Policy: PolicyShed})
 	h.Pause()
-	j, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Dispatch(j); err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, h, 0, p)
+	dispatch(t, h, j)
 	if got := h.State(); got != "overloaded" {
 		t.Errorf("state at cap = %q, want overloaded", got)
 	}
@@ -290,11 +248,56 @@ func TestStateMachine(t *testing.T) {
 	in := faults.New(faults.Options{DropEnabled: true, DropEngine: 0})
 	hq, region2, _ := newSingleEngineHAL(t, in)
 	pq, _, _ := buildParams(t, region2, `abc`, []string{"xxabc"})
-	if _, err := hq.Submit(pq); !errors.Is(err, ErrRetriesExhausted) {
+	if _, err := hq.SubmitToContext(context.Background(), 0, pq); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("wedged submit err = %v", err)
 	}
 	if got := hq.State(); got != "degraded" {
 		t.Errorf("state with quarantined engine = %q, want degraded", got)
 	}
 	hq.Close()
+}
+
+// TestAdmissionShedRacesSetAdmission sheds dispatches while another
+// goroutine keeps rewriting the caps. The shed error reports the caps it
+// was refused against, read under the lock; run under -race this is the
+// check that the error is not formatted from the live field.
+func TestAdmissionShedRacesSetAdmission(t *testing.T) {
+	h, region := newHAL(t)
+	privateReg(h)
+	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc", "zzz"})
+	// Both limit sets keep the backlog full once one group waits in it.
+	limits := []AdmissionLimits{
+		{MaxGroups: 1, Policy: PolicyShed},
+		{MaxGroups: 1, MaxJobs: 1, Policy: PolicyShed},
+	}
+	h.SetAdmission(limits[0])
+	h.Pause()
+	dispatch(t, h, submit(t, h, 0, p))
+	over := submit(t, h, 1, p)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			h.SetAdmission(limits[i%len(limits)])
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				err := h.DispatchContext(context.Background(), over)
+				if !errors.Is(err, ErrOverload) || !strings.Contains(err.Error(), "MaxGroups:1") {
+					t.Errorf("dispatch against a full backlog: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	h.Discard(over)
+	h.Resume()
+	h.Close()
 }

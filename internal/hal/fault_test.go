@@ -27,8 +27,8 @@ func newFaultHAL(t *testing.T, in *faults.Injector) (*HAL, *shmem.Region, *telem
 	return h, region, reg
 }
 
-// newSingleEngineHAL builds a one-engine HAL: with no other engine to fail
-// over to, quarantine and readmission paths are fully observable.
+// newSingleEngineHAL builds a one-engine HAL: its single breaker is a
+// quorum, so fabric-reset and readmission paths are fully observable.
 func newSingleEngineHAL(t *testing.T, in *faults.Injector) (*HAL, *shmem.Region, *telemetry.Registry) {
 	t.Helper()
 	dep := fpga.DefaultDeployment()
@@ -48,11 +48,13 @@ func newSingleEngineHAL(t *testing.T, in *faults.Injector) (*HAL, *shmem.Region,
 	return h, region, reg
 }
 
+// TestFaultStuckDoneExhaustsRetries: a job that faults on every attempt is
+// retried on its own engine only, maxAttempts times, and then fails typed.
 func TestFaultStuckDoneExhaustsRetries(t *testing.T) {
 	in := faults.New(faults.Options{Seed: 1, StuckDone: 1})
 	h, region, reg := newFaultHAL(t, in)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc", "zzz"})
-	_, err := h.Submit(p)
+	_, err := h.SubmitToContext(context.Background(), 2, p)
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
@@ -68,6 +70,15 @@ func TestFaultStuckDoneExhaustsRetries(t *testing.T) {
 	if got := reg.Counter("hal.jobs").Value(); got != 0 {
 		t.Errorf("failed job registered: hal.jobs = %d", got)
 	}
+	for _, hs := range h.Health() {
+		want := int64(0)
+		if hs.Engine == 2 {
+			want = maxAttempts
+		}
+		if hs.Fails != want {
+			t.Errorf("engine %d saw %d failed attempts, want %d", hs.Engine, hs.Fails, want)
+		}
+	}
 	// Failed attempts must not leave queued timing work behind.
 	if h.QueuedBytes() != 0 {
 		t.Error("failed attempts left queued bytes")
@@ -81,7 +92,7 @@ func TestFaultStuckDoneRecoversByRetry(t *testing.T) {
 	ok, retried := 0, 0
 	var jobs []*Job
 	for i := 0; i < 20; i++ {
-		j, err := h.Submit(p)
+		j, err := h.SubmitToContext(context.Background(), i%h.Engines(), p)
 		if err != nil {
 			if !IsFault(err) {
 				t.Fatalf("submit %d: non-fault error %v", i, err)
@@ -112,16 +123,10 @@ func TestFaultStuckDoneRecoversByRetry(t *testing.T) {
 	if reg.Counter("hal.faults.stuck_done").Value() == 0 {
 		t.Error("0.5-rate stuck-done never fired in 20 submits")
 	}
-	if _, err := h.Run(context.Background(), jobs...); err != nil {
-		t.Fatal(err)
-	}
+	comps := runAll(t, h, jobs...)
 	// Each retried job's completion carries its accrued watchdog latency.
-	for _, j := range jobs {
-		c, err := j.Completion()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c < j.penalty+ParametrizeTime {
+	for i, j := range jobs {
+		if c := comps[i].HWTime(); c < j.penalty+ParametrizeTime {
 			t.Errorf("completion %v dropped the %v watchdog penalty", c, j.penalty)
 		}
 	}
@@ -131,7 +136,7 @@ func TestFaultConfigCorruptDetected(t *testing.T) {
 	in := faults.New(faults.Options{Seed: 3, ConfigCorrupt: 1})
 	h, region, reg := newFaultHAL(t, in)
 	p, _, res := buildParams(t, region, `abc`, []string{"xxabc", "zzz"})
-	_, err := h.Submit(p)
+	_, err := h.SubmitToContext(context.Background(), 0, p)
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
@@ -154,7 +159,7 @@ func TestFaultStatusCorruptDetected(t *testing.T) {
 	in := faults.New(faults.Options{Seed: 5, StatusCorrupt: 1})
 	h, region, reg := newFaultHAL(t, in)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc"})
-	_, err := h.Submit(p)
+	_, err := h.SubmitToContext(context.Background(), 0, p)
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
@@ -168,9 +173,9 @@ func TestFaultEngineDropQuarantinesEngine(t *testing.T) {
 	h, region, reg := newFaultHAL(t, in)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc"})
 
-	// Pinned submits hammer the wedged engine until the breaker trips.
-	if _, err := h.SubmitTo(1, p); !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("pinned submit err = %v", err)
+	// Submits hammer the wedged engine until the breaker trips.
+	if _, err := h.SubmitToContext(context.Background(), 1, p); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("submit err = %v", err)
 	}
 	hs := h.Health()
 	if !hs[1].Quarantined {
@@ -182,19 +187,19 @@ func TestFaultEngineDropQuarantinesEngine(t *testing.T) {
 	if got := reg.Counter("hal.engine.quarantined").Value(); got != 1 {
 		t.Errorf("quarantine counter = %d", got)
 	}
-	// Another pinned submit is refused outright: the engine cannot be
-	// readmitted while the injector holds it down.
-	if _, err := h.SubmitTo(1, p); !errors.Is(err, ErrEngineQuarantined) {
-		t.Fatalf("quarantined pinned submit err = %v", err)
+	// Another submit is refused outright: the engine cannot be readmitted
+	// while the injector holds it down, and it takes no new attempt.
+	if _, err := h.SubmitToContext(context.Background(), 1, p); !errors.Is(err, ErrEngineQuarantined) {
+		t.Fatalf("quarantined submit err = %v", err)
 	}
-	// Unpinned traffic flows around the quarantined engine.
+	if got := h.Health()[1].Fails; got != maxAttempts {
+		t.Errorf("refused submit attempted the quarantined engine: fails = %d", got)
+	}
+	// The other engines keep serving.
 	for i := 0; i < 12; i++ {
-		j, err := h.Submit(p)
-		if err != nil {
-			t.Fatalf("unpinned submit %d: %v", i, err)
-		}
-		if j.Engine == 1 {
-			t.Fatal("distributor picked quarantined engine 1")
+		e := []int{0, 2, 3}[i%3]
+		if j := submit(t, h, e, p); j.Engine != e {
+			t.Fatalf("job for engine %d ran on engine %d", e, j.Engine)
 		}
 	}
 	if got := reg.Gauge("hal.engines.healthy").Value(); got != 3 {
@@ -213,21 +218,15 @@ func TestFaultEngineDropReadmissionAfterRecovery(t *testing.T) {
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc"})
 
 	for i := 0; i < 2; i++ {
-		if _, err := h.Submit(p); err != nil {
-			t.Fatalf("warm submit %d: %v", i, err)
-		}
+		submit(t, h, 0, p)
 	}
-	if _, err := h.Submit(p); !errors.Is(err, ErrRetriesExhausted) {
+	if _, err := h.SubmitToContext(context.Background(), 0, p); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("wedged submit err = %v", err)
 	}
 	if h.FabricResets() != 1 {
 		t.Fatalf("fabric resets = %d, want 1 (sole breaker is a quorum)", h.FabricResets())
 	}
-	j, err := h.Submit(p)
-	if err != nil {
-		t.Fatalf("post-recovery submit: %v", err)
-	}
-	if !j.Done() {
+	if j := submit(t, h, 0, p); !j.Done() {
 		t.Error("post-recovery job not done")
 	}
 	hs := h.Health()[0]
@@ -239,19 +238,26 @@ func TestFaultEngineDropReadmissionAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestFaultAllEnginesQuarantinedTyped: once every engine is quarantined and
+// neither the fabric reset nor a fresh handshake can readmit one, a submit
+// fails at once with the typed ErrEngineQuarantined — a fault, so core
+// retries the query and then degrades it to software.
 func TestFaultAllEnginesQuarantinedTyped(t *testing.T) {
 	in := faults.New(faults.Options{DropEnabled: true, DropEngine: 0}) // never recovers
 	h, region, _ := newSingleEngineHAL(t, in)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc"})
-	if _, err := h.Submit(p); !errors.Is(err, ErrRetriesExhausted) {
+	if _, err := h.SubmitToContext(context.Background(), 0, p); !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("first submit err = %v", err)
 	}
-	_, err := h.Submit(p)
-	if !errors.Is(err, ErrAllQuarantined) {
-		t.Fatalf("err = %v, want ErrAllQuarantined", err)
+	_, err := h.SubmitToContext(context.Background(), 0, p)
+	if !errors.Is(err, ErrEngineQuarantined) {
+		t.Fatalf("err = %v, want ErrEngineQuarantined", err)
 	}
 	if !IsFault(err) {
-		t.Error("all-quarantined error not classified as fault")
+		t.Error("quarantined-engine error not classified as fault")
+	}
+	if hs := h.Health()[0]; !hs.Quarantined || hs.Fails != maxAttempts {
+		t.Errorf("health after the refused submit: %+v", hs)
 	}
 }
 
@@ -260,7 +266,7 @@ func TestFaultHandshakeLossRecovery(t *testing.T) {
 	h, region, reg := newFaultHAL(t, in)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc"})
 	for i := 0; i < 5; i++ {
-		j, err := h.Submit(p)
+		j, err := h.SubmitToContext(context.Background(), i%h.Engines(), p)
 		if err != nil {
 			t.Fatalf("submit %d under handshake loss: %v", i, err)
 		}
@@ -289,21 +295,10 @@ func TestFaultQPIDegradedSlowsBatch(t *testing.T) {
 		p, _, _ := buildParams(t, region, `Strasse`, rows)
 		var jobs []*Job
 		for e := 0; e < 4; e++ {
-			j, err := h.SubmitTo(e, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, j)
+			jobs = append(jobs, submit(t, h, e, p))
 		}
-		if _, err := h.Run(context.Background(), jobs...); err != nil {
-			t.Fatal(err)
-		}
-		for _, j := range jobs {
-			c, err := j.Completion()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += c
+		for _, c := range runAll(t, h, jobs...) {
+			total += c.HWTime()
 		}
 		return total
 	}
@@ -330,23 +325,11 @@ func TestFaultInjectorOffBitIdentical(t *testing.T) {
 		})
 		var jobs []*Job
 		for i := 0; i < 6; i++ {
-			j, err := h.Submit(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, j)
-		}
-		comps, err := h.Run(context.Background(), jobs...)
-		if err != nil {
-			t.Fatal(err)
+			jobs = append(jobs, submit(t, h, i%h.Engines(), p))
 		}
 		var out []outcome
-		for i, j := range jobs {
-			c, err := j.Completion()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, outcome{j.Stats.Strings, j.Stats.Matches, c, comps[i].Done})
+		for i, c := range runAll(t, h, jobs...) {
+			out = append(out, outcome{jobs[i].Stats.Strings, jobs[i].Stats.Matches, c.HWTime(), c.Done})
 		}
 		return out
 	}
@@ -385,7 +368,7 @@ func TestFaultConcurrentSubmitsInvariant(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				j, err := h.Submit(ps[g])
+				j, err := h.SubmitToContext(context.Background(), g%h.Engines(), ps[g])
 				mu.Lock()
 				if err != nil {
 					if !IsFault(err) {
@@ -403,12 +386,10 @@ func TestFaultConcurrentSubmitsInvariant(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, err := h.Run(context.Background(), jobs...); err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		if c, err := j.Completion(); err != nil || c <= 0 {
-			t.Fatalf("accepted job without completion: %v %v", c, err)
+	for i, c := range runAll(t, h, jobs...) {
+		j := jobs[i]
+		if c.HWTime() <= 0 {
+			t.Fatalf("accepted job without completion: %v", c.HWTime())
 		}
 		if done, err := j.Status(); err != nil || !done {
 			t.Fatalf("accepted job status: %v %v", done, err)

@@ -1,7 +1,8 @@
 // Package hal implements the Hardware Operator Abstraction Layer of §4.2:
 // the software library the HUDF calls to create, execute and monitor FPGA
-// jobs, and the hardware-side Job Distributor that hands queued jobs to
-// idle Regex Engines.
+// jobs. Every job is pinned to the Regex Engine its caller names: a query
+// partitions its input across the engines (§7.5) and that static
+// partition-to-engine assignment is the job distribution this model runs.
 //
 // All control structures live in the CPU-FPGA shared memory region, as on
 // the prototype: the Device Status Memory page used for the AAL handshake,
@@ -10,8 +11,8 @@
 // FPGA-to-CPU interrupts) plus the execution statistics the engine reports.
 //
 // Functional execution happens synchronously at submit time; *timing* is
-// resolved by the asynchronous device runtime (runtime.go): Dispatch hands
-// a query's jobs to the event-loop goroutine that owns the memory model
+// resolved by the asynchronous device runtime (runtime.go): DispatchContext
+// hands a query's jobs to the event-loop goroutine that owns the memory model
 // and the simulated device clock, and each job's Await delivers its
 // individual completion record with per-job QPI attribution.
 //
@@ -19,8 +20,8 @@
 // and each job's done bit, the HAL defends the whole submit→await spine:
 // config vectors and status blocks are checksummed (verified at engine
 // ingest and at the done-bit read), the done-bit busy-wait runs under a
-// simulated-time watchdog with bounded resubmission to other engines, and a
-// per-engine circuit breaker (health.go) quarantines engines that fail
+// simulated-time watchdog with bounded resubmission to the same engine, and
+// a per-engine circuit breaker (health.go) quarantines engines that fail
 // repeatedly until a fresh AAL handshake readmits them. Fault scenarios are
 // driven by internal/faults; with a nil injector every defense is pure
 // bookkeeping and results and simulated timings are unchanged.
@@ -68,20 +69,18 @@ const (
 var (
 	ErrQueueFull = errors.New("hal: job queue full")
 	ErrBadEngine = errors.New("hal: no such engine")
-	// ErrPending is Completion called before the runtime finished the job.
-	ErrPending = errors.New("hal: job timing not resolved yet; await completion")
 	// ErrCanceled is a job aborted before its round was granted.
 	ErrCanceled = errors.New("hal: job canceled before execution")
 	// ErrClosed is a submit or dispatch against a closed runtime.
 	ErrClosed = errors.New("hal: runtime closed")
-	// ErrBadDispatch is a Dispatch of a nil, already-dispatched, or
+	// ErrBadDispatch is a DispatchContext of a nil, already-dispatched, or
 	// already-released job.
 	ErrBadDispatch = errors.New("hal: job cannot be dispatched")
 )
 
 // Job is a submitted FPGA job handle.
 type Job struct {
-	Engine int          // engine the distributor picked
+	Engine int          // engine the job is pinned to
 	Stats  engine.Stats // functional execution result
 	Timing memmodel.Job // data volume for the timing simulation
 
@@ -121,24 +120,6 @@ func (j *Job) Status() (done bool, err error) {
 func (j *Job) Done() bool {
 	done, err := j.Status()
 	return err == nil && done
-}
-
-// Completion returns the simulated completion time of the job relative to
-// its round's start. Valid once the runtime has completed the job (Await
-// returned); before that it reports ErrPending without blocking.
-func (j *Job) Completion() (sim.Time, error) {
-	select {
-	case <-j.done:
-	default:
-		return 0, ErrPending
-	}
-	if j.canceled {
-		if j.failErr != nil {
-			return 0, j.failErr
-		}
-		return 0, ErrCanceled
-	}
-	return j.comp.HWTime(), nil
 }
 
 // blockOffset is the job's status block offset inside the pool slab.
@@ -182,7 +163,7 @@ type HAL struct {
 	paused           bool // admission suspended (tests observe queue buildup)
 	closed           bool
 	loopOn           bool    // event-loop goroutine started
-	queuedVol        []int64 // per-engine running byte totals (the Distributor's index)
+	queuedVol        []int64 // per-engine running byte totals (QueuedBytes, the admission ETA)
 	// tdEngines/tdLink/tdRounds accumulate the topdown cycle ledgers
 	// across arbitration rounds (per-engine buckets conserve exactly:
 	// each round's ledger does, and Add is field-wise).
@@ -325,85 +306,38 @@ func (h *HAL) AFUPresent() bool {
 		binary.LittleEndian.Uint32(dsm[4:]) == afuID
 }
 
-// Submit enqueues a job and lets the Job Distributor assign it to the
-// least-loaded admitted engine, executing it functionally. The returned
-// handle's done bit is set in shared memory; its timing is resolved by the
-// device runtime after Dispatch. Under injected faults, Submit retries on
-// other engines (bounded) before returning a typed fault error.
-func (h *HAL) Submit(p engine.JobParams) (*Job, error) {
-	return h.submit(context.Background(), -1, p)
-}
-
-// SubmitContext is Submit honoring ctx: cancellation aborts the retry loop
-// between attempts (the watchdog path respects the caller's deadline).
-func (h *HAL) SubmitContext(ctx context.Context, p engine.JobParams) (*Job, error) {
-	return h.submit(ctx, -1, p)
-}
-
-// SubmitTo enqueues a job for a specific engine (partitioned execution
-// pins each partition to its own engine). Pinned jobs retry on the same
-// engine only.
-func (h *HAL) SubmitTo(engineID int, p engine.JobParams) (*Job, error) {
-	return h.SubmitToContext(context.Background(), engineID, p)
-}
-
-// SubmitToContext is SubmitTo honoring ctx.
+// SubmitToContext enqueues a job for engine engineID and executes it
+// functionally (partitioned execution pins each partition to its own
+// engine). The returned handle's done bit is set in shared memory; its
+// timing is resolved by the device runtime after DispatchContext. Under
+// injected faults the job is retried on the same engine, up to maxAttempts
+// attempts, before a typed fault error is returned; a canceled ctx stops
+// the retries between attempts.
 func (h *HAL) SubmitToContext(ctx context.Context, engineID int, p engine.JobParams) (*Job, error) {
 	if engineID < 0 || engineID >= len(h.engines) {
 		return nil, ErrBadEngine
 	}
-	return h.submit(ctx, engineID, p)
-}
-
-// submit is the fault-aware submission loop: verify the handshake, pick an
-// engine, attempt, and on a hardware fault retry — a different engine when
-// unpinned — accumulating DoneWaitTimeout of simulated watchdog latency per
-// failed attempt. A canceled ctx stops the loop between attempts.
-func (h *HAL) submit(ctx context.Context, pin int, p engine.JobParams) (*Job, error) {
 	h.checkHandshake()
 	cfgSum := crc32.ChecksumIEEE(p.Config)
 	var penalty sim.Time
 	var lastErr error
-	var tried uint64
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		e := pin
-		if pin < 0 {
-			h.mu.Lock()
-			e = h.pickEngineLocked(tried)
-			if e < 0 {
-				e = h.pickEngineLocked(0) // all healthy engines tried: revisit
-			}
-			h.mu.Unlock()
-			if e < 0 {
-				// Every engine is quarantined: a fresh handshake plus a
-				// probe is the only way back in.
-				if !h.readmitAny() {
-					if lastErr != nil {
-						return nil, fmt.Errorf("%w (last: %v)", ErrAllQuarantined, lastErr)
-					}
-					return nil, ErrAllQuarantined
-				}
-				continue
-			}
-		} else if h.isQuarantined(e) {
-			if !h.tryReadmit(e) {
-				return nil, fmt.Errorf("hal: engine %d: %w", e, ErrEngineQuarantined)
-			}
+		if h.isQuarantined(engineID) && !h.tryReadmit(engineID) {
+			return nil, fmt.Errorf("hal: engine %d: %w", engineID, ErrEngineQuarantined)
 		}
-		j, err := h.attempt(e, p, cfgSum, penalty)
+		j, err := h.attempt(engineID, p, cfgSum, penalty)
 		if err == nil {
-			h.noteSuccess(e)
+			h.noteSuccess(engineID)
 			return j, nil
 		}
 		if !IsFault(err) {
 			return nil, err
 		}
 		lastErr = err
-		h.noteFailure(e)
-		tried |= 1 << uint(e)
+		h.noteFailure(engineID)
 		penalty += DoneWaitTimeout
 		if attempt < maxAttempts-1 {
 			h.tel.Counter("hal.retries").Inc()
@@ -508,7 +442,7 @@ func (h *HAL) attempt(e int, p engine.JobParams, cfgSum uint32, penalty sim.Time
 	}
 
 	// The job completed functionally: publish the descriptor and account
-	// it against the Distributor until the runtime resolves its timing.
+	// its volume as queued until the runtime resolves its timing.
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -564,22 +498,6 @@ func (h *HAL) recordCtl(t flightrec.Type, e int, job int64, note string) {
 		Job:    job,
 		Note:   note,
 	})
-}
-
-// pickEngineLocked picks the admitted engine with the smallest queued
-// volume — the Job Distributor's "next available Regex Engine" policy —
-// skipping engines in the tried mask. O(engines) over the running totals.
-func (h *HAL) pickEngineLocked(tried uint64) int {
-	best, bestVol := -1, int64(0)
-	for i := range h.engines {
-		if h.health[i].quarantined || tried&(1<<uint(i)) != 0 {
-			continue
-		}
-		if best < 0 || h.queuedVol[i] < bestVol {
-			best, bestVol = i, h.queuedVol[i]
-		}
-	}
-	return best
 }
 
 // allocBlockLocked hands out a 64-byte status block, reusing released
@@ -694,7 +612,7 @@ func (h *HAL) Params() *memmodel.Params { return &h.params }
 // QueuedBytes returns the total data volume of jobs awaiting timing
 // resolution — submitted, backlogged, or in the running round — the FPGA's
 // "current load", which §9 notes a stock UDF interface cannot expose to
-// the query optimizer. O(engines) over the Distributor's running totals.
+// the query optimizer. O(engines) over the per-engine running totals.
 func (h *HAL) QueuedBytes() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -705,10 +623,10 @@ func (h *HAL) QueuedBytes() int64 {
 	return total
 }
 
-// DispatchedGroups returns the lifetime count of job groups admitted to
+// GroupsDispatched returns the lifetime count of job groups admitted to
 // the backlog. With shared-scan coalescing on, N concurrent identical
 // queries advance this by fewer than N.
-func (h *HAL) DispatchedGroups() int64 {
+func (h *HAL) GroupsDispatched() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.dispatchedGroups

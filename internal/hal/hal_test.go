@@ -81,10 +81,7 @@ func TestSubmitExecutesAndSetsDoneBit(t *testing.T) {
 		"Hans|Maier|3 Bahnhofstrasse|8004|Zuerich",
 	}
 	p, _, res := buildParams(t, region, `Strasse`, rows)
-	j, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, h, 0, p)
 	if !j.Done() {
 		t.Error("done bit not set in shared memory")
 	}
@@ -99,44 +96,16 @@ func TestSubmitExecutesAndSetsDoneBit(t *testing.T) {
 	if res.Get(1) != 0 || res.Get(2) != 0 {
 		t.Errorf("non-matching rows: %d %d", res.Get(1), res.Get(2))
 	}
-	if _, err := j.Completion(); err != ErrPending {
-		t.Errorf("Completion before the runtime ran the job: %v", err)
+	if _, err := completion(j); err != errPending {
+		t.Errorf("completion before the runtime ran the job: %v", err)
 	}
-	comps, err := h.Run(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := j.Completion()
+	comps := runAll(t, h, j)
+	c, err := completion(j)
 	if err != nil || c <= 0 {
-		t.Errorf("Completion after run: %v %v", c, err)
+		t.Errorf("completion after run: %v %v", c, err)
 	}
 	if comps[0].HWTime() != c {
-		t.Errorf("completion record %v disagrees with Completion() %v", comps[0].HWTime(), c)
-	}
-}
-
-func TestDistributorBalances(t *testing.T) {
-	h, region := newHAL(t)
-	rows := make([]string, 64)
-	for i := range rows {
-		rows[i] = fmt.Sprintf("row %d with some Strasse text", i)
-	}
-	p, _, _ := buildParams(t, region, `Strasse`, rows)
-	seen := map[int]int{}
-	for i := 0; i < 8; i++ {
-		j, err := h.Submit(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[j.Engine]++
-	}
-	if len(seen) != 4 {
-		t.Errorf("jobs not spread over engines: %v", seen)
-	}
-	for e, n := range seen {
-		if n != 2 {
-			t.Errorf("engine %d got %d jobs", e, n)
-		}
+		t.Errorf("completion record %v disagrees with the job's %v", comps[0].HWTime(), c)
 	}
 }
 
@@ -159,20 +128,14 @@ func TestSubmitToPartitioned(t *testing.T) {
 		part.Offsets = p.Offsets[e*per*4 : (e+1)*per*4]
 		part.Count = per
 		part.Result = p.Result[e*per*2 : (e+1)*per*2]
-		j, err := h.SubmitTo(e, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, submit(t, h, e, part))
 	}
-	if _, err := h.Run(context.Background(), jobs...); err != nil {
-		t.Fatal(err)
-	}
+	comps := runAll(t, h, jobs...)
 	total := 0
-	for _, j := range jobs {
+	for i, j := range jobs {
 		total += j.Stats.Matches
-		if c, err := j.Completion(); err != nil || c <= 0 {
-			t.Errorf("partition completion: %v %v", c, err)
+		if j.Engine != i || comps[i].HWTime() <= 0 {
+			t.Errorf("partition %d ran on engine %d in %v", i, j.Engine, comps[i].HWTime())
 		}
 	}
 	if total != 10 {
@@ -187,8 +150,10 @@ func TestSubmitToPartitioned(t *testing.T) {
 			t.Errorf("row %d result = %d, want %d", i, got, want)
 		}
 	}
-	if _, err := h.SubmitTo(9, p); err != ErrBadEngine {
-		t.Errorf("bad engine err = %v", err)
+	for _, e := range []int{-1, 4, 9} {
+		if _, err := h.SubmitToContext(context.Background(), e, p); err != ErrBadEngine {
+			t.Errorf("engine %d: err = %v, want ErrBadEngine", e, err)
+		}
 	}
 }
 
@@ -211,7 +176,7 @@ func TestCapacityErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Config = vec
-	if _, err := h.Submit(p); err == nil {
+	if _, err := h.SubmitToContext(context.Background(), 0, p); err == nil {
 		t.Error("over-capacity expression accepted")
 	}
 }
@@ -223,13 +188,8 @@ func TestRuntimeDrainsBacklog(t *testing.T) {
 	h.Pause()
 	var jobs []*Job
 	for i := 0; i < 5; i++ {
-		j, err := h.Submit(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Dispatch(j); err != nil {
-			t.Fatal(err)
-		}
+		j := submit(t, h, i%h.Engines(), p)
+		dispatch(t, h, j)
 		jobs = append(jobs, j)
 	}
 	if h.QueuedBytes() != 5*int64(jobs[0].Timing.TotalBytes()) {
@@ -262,16 +222,11 @@ func TestAccessorsAndQueuedBytes(t *testing.T) {
 		t.Error("fresh HAL has queued bytes")
 	}
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc", "zzz", "abc"})
-	j, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, h, 0, p)
 	if got := h.QueuedBytes(); got != int64(j.Timing.TotalBytes()) {
 		t.Errorf("QueuedBytes = %d, want %d", got, j.Timing.TotalBytes())
 	}
-	if _, err := h.Run(context.Background(), j); err != nil {
-		t.Fatal(err)
-	}
+	runAll(t, h, j)
 	if h.QueuedBytes() != 0 {
 		t.Error("QueuedBytes after the job completed")
 	}
@@ -284,11 +239,7 @@ func TestStatusPoolGrowsAcrossSlabs(t *testing.T) {
 	p, _, _ := buildParams(t, region, `abc`, []string{"abc"})
 	var jobs []*Job
 	for i := 0; i < 300; i++ {
-		j, err := h.Submit(p)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, submit(t, h, i%h.Engines(), p))
 	}
 	for i, j := range jobs {
 		if !j.Done() {

@@ -24,7 +24,7 @@ import (
 // Fault-recovery tuning.
 const (
 	// maxAttempts bounds the submit retry loop: one initial attempt plus
-	// bounded resubmission to other engines.
+	// bounded resubmission to the same engine.
 	maxAttempts = 3
 	// quarantineAfter is the consecutive-failure threshold of the
 	// per-engine circuit breaker.
@@ -42,16 +42,11 @@ const (
 var ErrEngineFault = errors.New("hal: engine fault")
 
 // faultError is a typed hardware-fault sentinel: it matches ErrEngineFault
-// under errors.Is and carries the transient/permanent classification the
-// query-level retry layer consults. Transient faults (a wedged done bit, a
-// dropped engine, a damaged transfer) can heal across attempts — the
-// injector's recovery paths and the breaker's readmission exist for exactly
-// that — while a permanent fault (the whole fabric quarantined) cannot be
-// retried away and should degrade immediately.
-type faultError struct {
-	msg       string
-	transient bool
-}
+// under errors.Is. Every fault class can heal across attempts (a wedged done
+// bit, a dropped engine, a damaged transfer — the injector's recovery paths
+// and the breaker's readmission exist for exactly that), so the query-level
+// retry layer retries any of them before degrading.
+type faultError struct{ msg string }
 
 func (e *faultError) Error() string { return e.msg }
 
@@ -65,23 +60,20 @@ func (e *faultError) Is(target error) bool { return target == ErrEngineFault }
 var (
 	// ErrDoneTimeout is the watchdog firing: the done bit never set
 	// within the simulated busy-wait budget.
-	ErrDoneTimeout error = &faultError{msg: "hal: watchdog timeout waiting for done bit", transient: true}
+	ErrDoneTimeout error = &faultError{msg: "hal: watchdog timeout waiting for done bit"}
 	// ErrConfigCorrupt is a config-vector checksum mismatch at engine
 	// ingest (the vector was damaged crossing QPI).
-	ErrConfigCorrupt error = &faultError{msg: "hal: config vector checksum mismatch at engine ingest", transient: true}
+	ErrConfigCorrupt error = &faultError{msg: "hal: config vector checksum mismatch at engine ingest"}
 	// ErrStatusCorrupt is a status-block checksum mismatch at the
 	// done-bit read.
-	ErrStatusCorrupt error = &faultError{msg: "hal: status block checksum mismatch", transient: true}
+	ErrStatusCorrupt error = &faultError{msg: "hal: status block checksum mismatch"}
 	// ErrEngineDropped is an engine refusing the job-accept handshake.
-	ErrEngineDropped error = &faultError{msg: "hal: engine stopped accepting jobs", transient: true}
-	// ErrEngineQuarantined is a submit pinned to an engine the circuit
-	// breaker holds quarantined.
-	ErrEngineQuarantined error = &faultError{msg: "hal: engine is quarantined", transient: true}
-	// ErrAllQuarantined means no engine is admitted and none could be
-	// readmitted by a fresh handshake — fabric-wide, so not transient.
-	ErrAllQuarantined error = &faultError{msg: "hal: all engines quarantined", transient: false}
-	// ErrRetriesExhausted means a job failed on every attempted engine.
-	ErrRetriesExhausted error = &faultError{msg: "hal: job failed after bounded retries", transient: true}
+	ErrEngineDropped error = &faultError{msg: "hal: engine stopped accepting jobs"}
+	// ErrEngineQuarantined is a submit to an engine the circuit breaker
+	// holds quarantined and a fresh handshake could not readmit.
+	ErrEngineQuarantined error = &faultError{msg: "hal: engine is quarantined"}
+	// ErrRetriesExhausted means a job failed on every attempt.
+	ErrRetriesExhausted error = &faultError{msg: "hal: job failed after bounded retries"}
 )
 
 // IsFault reports whether err is a hardware-fault error the caller may
@@ -90,16 +82,6 @@ var (
 // are not faults — and neither are the admission layer's ErrOverload and
 // ErrDeadlineExceeded: a shed query was refused, not broken.
 func IsFault(err error) bool { return errors.Is(err, ErrEngineFault) }
-
-// IsTransient reports whether err is a hardware fault worth retrying at the
-// query level: watchdog timeouts, handshake losses, single-engine drops and
-// quarantines may heal between attempts (engines recover, breakers readmit).
-// A fabric-wide ErrAllQuarantined is permanent — only a fabric reset or the
-// software operator answers that query.
-func IsTransient(err error) bool {
-	var fe *faultError
-	return errors.As(err, &fe) && fe.transient
-}
 
 // EngineHealth is one engine's circuit-breaker snapshot.
 type EngineHealth struct {
@@ -261,7 +243,7 @@ func (h *HAL) isQuarantined(e int) bool {
 }
 
 // tryReadmit re-runs the AAL handshake and probes engine e; on success the
-// engine returns to the distributor's rotation.
+// engine accepts jobs again.
 func (h *HAL) tryReadmit(e int) bool {
 	// The handshake is the only proof the right bitstream still answers
 	// (§2.2): re-establish it before trusting the engine again.
@@ -293,18 +275,6 @@ func (h *HAL) tryReadmit(e int) bool {
 		Unit:   -1,
 	})
 	return true
-}
-
-// readmitAny tries to readmit every quarantined engine, reporting whether
-// at least one came back.
-func (h *HAL) readmitAny() bool {
-	any := false
-	for e := range h.engines {
-		if h.isQuarantined(e) && h.tryReadmit(e) {
-			any = true
-		}
-	}
-	return any
 }
 
 // rehandshake rewrites the DSM handshake words — software's half of the AAL

@@ -1,7 +1,7 @@
 // The asynchronous device runtime: a single event-loop goroutine owns the
 // memory model and the simulated device clock, advances QPI arbitration
-// round by round, and completes jobs individually. Dispatch hands a group
-// of jobs (one query's partitions) to the scheduler as a unit; an
+// round by round, and completes jobs individually. DispatchContext hands a
+// group of jobs (one query's partitions) to the scheduler as a unit; an
 // admission layer bounds the jobs in flight per engine and keeps the rest
 // in a FIFO backlog, so a burst of concurrent queries turns into queue
 // delay — observable through QueuedBytes and fed to core.EstimateCost —
@@ -52,7 +52,7 @@ type Completion struct {
 	// (Wall grows with it). The per-query analyzer folds the buckets into
 	// the bottleneck verdict.
 	memmodel.JobLedger
-	// Enqueued is when Dispatch placed the job's group in the backlog.
+	// Enqueued is when DispatchContext placed the job's group in the backlog.
 	Enqueued sim.Time
 	// Admitted is the start of the arbitration round that ran the job.
 	Admitted sim.Time
@@ -64,7 +64,7 @@ func (c Completion) QueueWait() sim.Time { return c.Admitted - c.Enqueued }
 // HWTime is the hardware processing time: admission to completion.
 func (c Completion) HWTime() sim.Time { return c.Done - c.Admitted }
 
-// jobGroup is one Dispatch call's unit of admission: a query's partitions
+// jobGroup is one DispatchContext call's unit of admission: a query's partitions
 // enter a round together or not at all, so a group's jobs always share an
 // Admitted time and their relative completions stay comparable.
 type jobGroup struct {
@@ -74,15 +74,6 @@ type jobGroup struct {
 	deadline sim.Time // simulated abort point (0: none), from WithBudget
 	admitted bool
 	canceled bool
-}
-
-// Dispatch hands a group of submitted jobs to the device runtime as one
-// admission unit and returns immediately; each job's Await delivers its
-// completion record. The runtime's event loop starts lazily on the first
-// dispatch. Dispatch ignores admission deadlines and never blocks on the
-// backlog caps' block policy — DispatchContext is the overload-aware form.
-func (h *HAL) Dispatch(jobs ...*Job) error {
-	return h.DispatchContext(context.Background(), jobs...)
 }
 
 // publishBacklogLocked exports the backlog's current depth — waiting groups,
@@ -112,23 +103,6 @@ func (h *HAL) publishBacklogLocked() {
 		h.tel.Gauge("hal.backlog_peak_bytes").Set(bytes)
 	}
 	h.cond.Broadcast()
-}
-
-// Run dispatches jobs as one group and awaits every completion — the
-// synchronous convenience the old submit→drain callers map onto.
-func (h *HAL) Run(ctx context.Context, jobs ...*Job) ([]Completion, error) {
-	if err := h.Dispatch(jobs...); err != nil {
-		return nil, err
-	}
-	out := make([]Completion, len(jobs))
-	for i, j := range jobs {
-		c, err := j.Await(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
 }
 
 // Await blocks until the runtime completes the job and returns its
@@ -202,7 +176,7 @@ func (h *HAL) abandonJob(j *Job) bool {
 }
 
 // releaseJobsLocked undoes the submit-time reservations of jobs that will
-// never run a round: status blocks return to the pool, the distributor's
+// never run a round: status blocks return to the pool, the per-engine
 // volume accounting and the descriptor-queue occupancy shrink. Each job's
 // Await will report cause (an errors.Is-able sentinel: ErrCanceled,
 // ErrClosed, or ErrDeadlineExceeded). Caller holds h.mu.
@@ -262,7 +236,8 @@ func (h *HAL) Resume() {
 
 // Close shuts the runtime down: every group still in the backlog is
 // canceled (awaiters unblock with ErrClosed) and the event loop exits
-// after any in-flight round. Further Dispatch and Submit calls fail with
+// after any in-flight round. Further DispatchContext and SubmitToContext
+// calls fail with
 // ErrClosed. Close is idempotent.
 func (h *HAL) Close() {
 	h.mu.Lock()

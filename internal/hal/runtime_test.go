@@ -22,13 +22,8 @@ func TestAdmissionCapSplitsRounds(t *testing.T) {
 	h.Pause()
 	var jobs []*Job
 	for i := 0; i < DefaultAdmissionCap+2; i++ {
-		j, err := h.SubmitTo(0, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Dispatch(j); err != nil {
-			t.Fatal(err)
-		}
+		j := submit(t, h, 0, p)
+		dispatch(t, h, j)
 		jobs = append(jobs, j)
 	}
 	h.Resume()
@@ -65,31 +60,18 @@ func TestAwaitCancelAbortsQueuedGroup(t *testing.T) {
 	h, region := newHAL(t)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc", "zzz"})
 	h.Pause()
-	j1, err := h.SubmitTo(0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Dispatch(j1); err != nil {
-		t.Fatal(err)
-	}
-	a, err := h.SubmitTo(0, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := h.SubmitTo(1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Dispatch(a, b); err != nil {
-		t.Fatal(err)
-	}
+	j1 := submit(t, h, 0, p)
+	dispatch(t, h, j1)
+	a := submit(t, h, 0, p)
+	b := submit(t, h, 1, p)
+	dispatch(t, h, a, b)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := a.Await(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled await err = %v", err)
 	}
-	if _, err := a.Completion(); err != ErrCanceled {
-		t.Errorf("canceled job Completion err = %v", err)
+	if _, err := completion(a); err != ErrCanceled {
+		t.Errorf("canceled job completion err = %v", err)
 	}
 	// The sibling partition died with its group.
 	if _, err := b.Await(context.Background()); err != ErrCanceled {
@@ -118,14 +100,8 @@ func TestAwaitCancelAbortsQueuedGroup(t *testing.T) {
 func TestDiscardReleasesUndispatched(t *testing.T) {
 	h, region := newHAL(t)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc"})
-	j1, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j1 := submit(t, h, 0, p)
+	j2 := submit(t, h, 1, p)
 	h.Discard(j1, j2)
 	if h.QueuedBytes() != 0 {
 		t.Errorf("QueuedBytes = %d after discard", h.QueuedBytes())
@@ -133,10 +109,10 @@ func TestDiscardReleasesUndispatched(t *testing.T) {
 	if len(h.blockFree) != 2 {
 		t.Errorf("discard freed %d blocks, want 2", len(h.blockFree))
 	}
-	if _, err := j1.Completion(); err != ErrCanceled {
-		t.Errorf("discarded job Completion err = %v", err)
+	if _, err := completion(j1); err != ErrCanceled {
+		t.Errorf("discarded job completion err = %v", err)
 	}
-	if err := h.Dispatch(j1); err != ErrBadDispatch {
+	if err := h.DispatchContext(context.Background(), j1); err != ErrBadDispatch {
 		t.Errorf("dispatch of discarded job err = %v", err)
 	}
 }
@@ -147,26 +123,18 @@ func TestCloseCancelsBacklog(t *testing.T) {
 	h, region := newHAL(t)
 	p, _, _ := buildParams(t, region, `abc`, []string{"xxabc"})
 	h.Pause()
-	j, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Dispatch(j); err != nil {
-		t.Fatal(err)
-	}
-	spare, err := h.Submit(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, h, 0, p)
+	dispatch(t, h, j)
+	spare := submit(t, h, 1, p)
 	h.Close()
 	h.Close() // idempotent
 	if _, err := j.Await(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("await after close err = %v, want ErrClosed", err)
 	}
-	if _, err := h.Submit(p); err != ErrClosed {
+	if _, err := h.SubmitToContext(context.Background(), 0, p); err != ErrClosed {
 		t.Errorf("submit after close err = %v", err)
 	}
-	if err := h.Dispatch(spare); err != ErrClosed {
+	if err := h.DispatchContext(context.Background(), spare); err != ErrClosed {
 		t.Errorf("dispatch after close err = %v", err)
 	}
 }
@@ -195,16 +163,9 @@ func TestRoundMatchesDirectSimulate(t *testing.T) {
 		engine int
 		p      engine.JobParams
 	}{{0, pBig}, {1, pBig}, {2, pBig}, {0, pSmall}} {
-		j, err := h.SubmitTo(sub.engine, sub.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
+		jobs = append(jobs, submit(t, h, sub.engine, sub.p))
 	}
-	comps, err := h.Run(context.Background(), jobs...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comps := runAll(t, h, jobs...)
 	queues := make([][]memmodel.Job, h.Engines())
 	slot := make([]int, len(jobs))
 	for i, j := range jobs {

@@ -81,7 +81,7 @@ func TestRuntimeStressConcurrentLifecycles(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c)))
 			for q := 0; q < perClient; q++ {
-				j, err := h.Submit(params[c])
+				j, err := h.SubmitToContext(context.Background(), c%h.Engines(), params[c])
 				if err != nil {
 					if errors.Is(err, ErrClosed) {
 						return
@@ -147,7 +147,7 @@ func TestRuntimeStressConcurrentLifecycles(t *testing.T) {
 	}
 	// The runtime must be reusable-safe after Close: everything refuses
 	// with ErrClosed and the backlog is empty.
-	if _, err := h.Submit(p); !errors.Is(err, ErrClosed) {
+	if _, err := h.SubmitToContext(context.Background(), 0, p); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close = %v", err)
 	}
 	h.mu.Lock()

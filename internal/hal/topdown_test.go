@@ -36,11 +36,7 @@ func TestTopdownConservationSweep(t *testing.T) {
 				engines := 1 + rng.Intn(h.Engines())
 				var jobs []*Job
 				for e := 0; e < engines; e++ {
-					j, err := h.SubmitTo(e, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					jobs = append(jobs, j)
+					jobs = append(jobs, submit(t, h, e, p))
 				}
 				batches = append(batches, submitted{jobs})
 			}
@@ -49,7 +45,7 @@ func TestTopdownConservationSweep(t *testing.T) {
 				wg.Add(1)
 				go func(jobs []*Job) {
 					defer wg.Done()
-					if err := h.Dispatch(jobs...); err != nil {
+					if err := h.DispatchContext(context.Background(), jobs...); err != nil {
 						t.Error(err)
 						return
 					}

@@ -4,8 +4,9 @@
 // fast at query time (Table 1's 0.033 s) but requiring the index to be
 // built ahead of time, kept up to date (a rebuild takes >20 minutes for
 // 2.5 M tuples in DBx), and it occupies memory that often exceeds the
-// indexed text itself. Those costs, which motivate the paper's index-free
-// FPGA scan, are exposed through Stats and Stale.
+// indexed text itself. Those costs motivate the paper's index-free FPGA
+// scan; Stats exposes the footprint, and rowdb refuses a CONTAINS query on
+// an index its table has outgrown.
 package invindex
 
 import (
@@ -21,14 +22,12 @@ import (
 type Index struct {
 	postings map[string][]uint32
 	indexed  int  // rows covered by the index
-	appended int  // rows added since the last (re)build
 	fold     bool // case-insensitive indexing
 
-	// Query/maintenance counters (detached telemetry instances; Stats and
-	// Search's lookups return value are views over them).
+	// Query counters (detached telemetry instances; Search's lookups return
+	// value is a view over them).
 	searches *telemetry.Counter // Search calls
 	probes   *telemetry.Counter // posting-list probes
-	rebuilds *telemetry.Counter // full rebuilds
 }
 
 // Stats describes the index footprint.
@@ -37,7 +36,6 @@ type Stats struct {
 	Words      int // distinct words
 	Postings   int // total posting entries
 	FootprintB int // approximate memory footprint in bytes
-	StaleRows  int // rows not yet covered (need rebuild)
 }
 
 // ErrEmptyQuery is returned for a CONTAINS query with no words.
@@ -50,7 +48,6 @@ func Build(rows []string, foldCase bool) *Index {
 		fold:     foldCase,
 		searches: telemetry.NewCounter(),
 		probes:   telemetry.NewCounter(),
-		rebuilds: telemetry.NewCounter(),
 	}
 	for i, s := range rows {
 		ix.addRow(uint32(i), s)
@@ -69,36 +66,16 @@ func (ix *Index) addRow(oid uint32, s string) {
 	}
 }
 
-// Append records that rows were added to the base table without updating
-// the index — the staleness the paper calls out. The new rows become
-// visible only after Rebuild.
-func (ix *Index) Append(n int) { ix.appended += n }
-
-// Stale reports whether the index lags the base table.
-func (ix *Index) Stale() bool { return ix.appended > 0 }
-
-// Rebuild re-indexes the full table (existing rows plus rows provided for
-// the appended tail) and returns the number of rows indexed.
-func (ix *Index) Rebuild(allRows []string) int {
-	fresh := Build(allRows, ix.fold)
-	ix.postings = fresh.postings
-	ix.indexed = fresh.indexed
-	ix.appended = 0
-	ix.rebuilds.Inc()
-	return ix.indexed
-}
-
-// AttachTelemetry publishes the index's query/maintenance counters in reg
-// under the invindex.* names.
+// AttachTelemetry publishes the index's query counters in reg under the
+// invindex.* names.
 func (ix *Index) AttachTelemetry(reg *telemetry.Registry) {
 	reg.AttachCounter("invindex.searches", ix.searches)
 	reg.AttachCounter("invindex.probes", ix.probes)
-	reg.AttachCounter("invindex.rebuilds", ix.rebuilds)
 }
 
 // Stats returns the index footprint.
 func (ix *Index) Stats() Stats {
-	st := Stats{Rows: ix.indexed, Words: len(ix.postings), StaleRows: ix.appended}
+	st := Stats{Rows: ix.indexed, Words: len(ix.postings)}
 	for w, pl := range ix.postings {
 		st.Postings += len(pl)
 		st.FootprintB += len(w) + 4*len(pl) + 48 // entry overhead estimate

@@ -90,29 +90,6 @@ func TestDuplicateWordsOnePosting(t *testing.T) {
 	}
 }
 
-func TestStaleAndRebuild(t *testing.T) {
-	ix := Build(rows, false)
-	if ix.Stale() {
-		t.Error("fresh index reported stale")
-	}
-	ix.Append(2)
-	if !ix.Stale() {
-		t.Error("index not stale after Append")
-	}
-	if got := ix.Stats().StaleRows; got != 2 {
-		t.Errorf("StaleRows = %d", got)
-	}
-	all := append(append([]string{}, rows...), "Cheshire Alan Turing new", "another")
-	n := ix.Rebuild(all)
-	if n != len(all) || ix.Stale() {
-		t.Errorf("Rebuild: n=%d stale=%v", n, ix.Stale())
-	}
-	got, _, _ := ix.Search("Alan & Turing & Cheshire")
-	if len(got) != 3 || got[2] != 6 {
-		t.Errorf("post-rebuild Search = %v", got)
-	}
-}
-
 func TestTokenize(t *testing.T) {
 	got := Tokenize("John|Smith|44 Koblenzer Strasse|60327|Frankfurt", false)
 	want := []string{"John", "Smith", "44", "Koblenzer", "Strasse", "60327", "Frankfurt"}

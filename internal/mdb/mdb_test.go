@@ -190,8 +190,7 @@ func TestRegionBackedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, _ := tbl.Column("address_string")
-	if col.Strs.HeapAddr() == 0 {
+	if region.Stats().Live == 0 {
 		t.Error("BAT not in shared region")
 	}
 	sel, _ := db.SelectLike(tbl, "address_string", workload.Q1Like, false)

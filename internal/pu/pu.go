@@ -156,9 +156,6 @@ func (u *Unit) Program() *token.Program { return u.prog }
 // Stats returns a snapshot of the accumulated work counters.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// ResetStats clears the work counters (per-job accounting).
-func (u *Unit) ResetStats() { u.stats = Stats{} }
-
 // Match feeds s through the PU one byte per cycle and returns the match
 // index per the HUDF encoding: 0 for no match, else the 1-based position of
 // the first match's last character, saturating at 65535.

@@ -11,8 +11,10 @@
 // This package reproduces that stack in software: a Region hands out
 // addresses inside a bounded virtual space, backs them with real Go memory
 // (allocated lazily, chunk by chunk, so a 4 GB region costs only what is
-// actually touched), maintains the pagetable, and implements the HAL's slab
-// allocator with per-size-class free lists.
+// actually touched), counts the pinned 2 MB pages, and implements the HAL's
+// slab allocator with per-size-class free lists. Page translation is not
+// modelled: its cost is constant on the prototype (§2.2) and part of the
+// engines' steady-state bandwidth.
 package shmem
 
 import (
@@ -66,7 +68,6 @@ type Region struct {
 	chunks   map[uint64][]byte
 	free     map[uint64][]Addr // size class -> free slab addresses
 	live     map[Addr]uint64   // allocated address -> size class (or raw size for huge)
-	pt       pageTable
 	met      regionMetrics
 }
 
@@ -78,7 +79,6 @@ type regionMetrics struct {
 	live        *telemetry.Gauge   // bytes in currently allocated slabs
 	liveSlabs   *telemetry.Gauge   // number of live allocations
 	pinnedPages *telemetry.Gauge   // 2 MB pages pinned (backed by real memory)
-	pageFaults  *telemetry.Counter // pagetable misses (always 0 in correct runs)
 	allocs      *telemetry.Counter // successful Alloc calls
 	frees       *telemetry.Counter // successful Free calls
 }
@@ -91,16 +91,6 @@ type Stats struct {
 	Live        uint64 // bytes in currently allocated slabs
 	LiveSlabs   int    // number of live allocations
 	PinnedPages int    // 2 MB pages pinned (backed by real memory)
-	PageFaults  uint64 // translations that missed the pagetable (always 0 in correct runs)
-}
-
-// pageTable maps virtual page numbers to backing chunks. On the prototype it
-// lives in FPGA BRAM with a fixed entry budget; translation cost is constant
-// (§2.2), which the engine model accounts for as part of steady-state
-// bandwidth.
-type pageTable struct {
-	entries map[uint64]struct{}
-	limit   int
 }
 
 // NewRegion creates a shared region with the given capacity in bytes. A
@@ -116,16 +106,11 @@ func NewRegion(capacity uint64) *Region {
 		chunks:   make(map[uint64][]byte),
 		free:     make(map[uint64][]Addr),
 		live:     make(map[Addr]uint64),
-		pt: pageTable{
-			entries: make(map[uint64]struct{}),
-			limit:   int(capacity / PageSize),
-		},
 		met: regionMetrics{
 			reserved:    telemetry.NewGauge(),
 			live:        telemetry.NewGauge(),
 			liveSlabs:   telemetry.NewGauge(),
 			pinnedPages: telemetry.NewGauge(),
-			pageFaults:  telemetry.NewCounter(),
 			allocs:      telemetry.NewCounter(),
 			frees:       telemetry.NewCounter(),
 		},
@@ -133,13 +118,12 @@ func NewRegion(capacity uint64) *Region {
 }
 
 // AttachTelemetry publishes the region's allocator metrics in reg under the
-// shmem.* names (slab usage, pinned pages, pagetable faults).
+// shmem.* names (slab usage, pinned pages, allocation counts).
 func (r *Region) AttachTelemetry(reg *telemetry.Registry) {
 	reg.AttachGauge("shmem.reserved_bytes", r.met.reserved)
 	reg.AttachGauge("shmem.live_bytes", r.met.live)
 	reg.AttachGauge("shmem.live_slabs", r.met.liveSlabs)
 	reg.AttachGauge("shmem.pinned_pages", r.met.pinnedPages)
-	reg.AttachCounter("shmem.page_faults", r.met.pageFaults)
 	reg.AttachCounter("shmem.allocs", r.met.allocs)
 	reg.AttachCounter("shmem.frees", r.met.frees)
 }
@@ -225,9 +209,6 @@ func (r *Region) reserve(n uint64) (Addr, error) {
 	r.met.reserved.Add(int64(run))
 	pages := int(run / PageSize)
 	r.met.pinnedPages.Add(int64(pages))
-	for p := base / PageSize; p < (base+run)/PageSize; p++ {
-		r.pt.entries[p] = struct{}{}
-	}
 	// reserve never splits a run across chunks, so slabs smaller than the
 	// run would leave a tail; return tail slabs of the same class to the
 	// free list so power-of-two classes below PageSize pack densely.
@@ -294,20 +275,6 @@ func (r *Region) chunkFor(v uint64) (base uint64, buf []byte, ok bool) {
 	}
 }
 
-// Translate checks that address a is mapped in the pagetable, as the FPGA
-// does before every memory access. It returns false — a simulated access
-// fault — for unmapped addresses; the engines treat that as a fatal job
-// error, because the real hardware cannot recover from a fault (§4.2.1).
-func (r *Region) Translate(a Addr) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.pt.entries[uint64(a)/PageSize]
-	if !ok {
-		r.met.pageFaults.Inc()
-	}
-	return ok
-}
-
 // Stats returns a snapshot of allocator statistics (a view over the
 // region's telemetry metrics).
 func (r *Region) Stats() Stats {
@@ -319,6 +286,5 @@ func (r *Region) Stats() Stats {
 		Live:        uint64(r.met.live.Value()),
 		LiveSlabs:   int(r.met.liveSlabs.Value()),
 		PinnedPages: int(r.met.pinnedPages.Value()),
-		PageFaults:  uint64(r.met.pageFaults.Value()),
 	}
 }

@@ -149,23 +149,6 @@ func TestNilAddressNeverAllocated(t *testing.T) {
 	}
 }
 
-func TestTranslate(t *testing.T) {
-	r := NewRegion(16 << 20)
-	a, err := r.Alloc(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Translate(a) {
-		t.Error("Translate of allocated address failed")
-	}
-	if r.Translate(Addr(r.Capacity() - 1)) {
-		t.Error("Translate of unmapped address succeeded")
-	}
-	if got := r.Stats().PageFaults; got != 1 {
-		t.Errorf("PageFaults = %d, want 1", got)
-	}
-}
-
 func TestBytesOfUnallocated(t *testing.T) {
 	r := NewRegion(16 << 20)
 	if _, err := r.Bytes(Addr(PageSize)); err == nil {

@@ -64,10 +64,6 @@ func NewDFA(pattern string, foldCase bool) (*DFA, error) {
 // States returns the number of DFA states constructed so far.
 func (d *DFA) States() int { return len(d.states) }
 
-// SetStateLimit overrides the lazy-construction budget (tests and callers
-// that want an earlier fallback to the NFA).
-func (d *DFA) SetStateLimit(n int) { d.maxState = n }
-
 // Source returns the original pattern.
 func (d *DFA) Source() string { return d.nfa.Source() }
 

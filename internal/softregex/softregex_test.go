@@ -299,7 +299,7 @@ func TestDFAExplosionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetStateLimit(2)
+	d.maxState = 2
 	_, _, err = d.MatchString("abcdefabcdefabcdef")
 	if err == nil {
 		t.Fatal("no explosion with a 2-state budget")

@@ -2,7 +2,6 @@ package strmatch
 
 import (
 	"errors"
-	"strings"
 )
 
 // LikePattern is a compiled SQL LIKE / ILIKE pattern: `%` matches any
@@ -180,36 +179,6 @@ func (p *LikePattern) findSegment(seg *likeSegment, s []byte, from int) int {
 		}
 	}
 	return -1
-}
-
-// ToRegex translates the LIKE pattern into the regex dialect so that it can
-// be offloaded to the FPGA's regex engines (the HUDF path for Q1): `%`
-// becomes `.*`, `_` becomes `.`, literal bytes are escaped, and the
-// entire-value semantics become ^…$ anchors where the pattern is closed.
-func (p *LikePattern) ToRegex() string {
-	var b strings.Builder
-	if !p.openStart {
-		b.WriteByte('^')
-	}
-	for i, seg := range p.segments {
-		if i > 0 {
-			b.WriteString(".*")
-		}
-		for k, c := range seg.chunk {
-			if seg.wild[k] {
-				b.WriteByte('.')
-				continue
-			}
-			if strings.IndexByte(`.*+?()[]{}|\^$`, c) >= 0 {
-				b.WriteByte('\\')
-			}
-			b.WriteByte(c)
-		}
-	}
-	if !p.openEnd {
-		b.WriteByte('$')
-	}
-	return b.String()
 }
 
 // FoldCase reports whether the pattern uses ILIKE semantics.

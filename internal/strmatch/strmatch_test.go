@@ -180,30 +180,6 @@ func TestLikeBadEscape(t *testing.T) {
 	}
 }
 
-func TestLikeToRegex(t *testing.T) {
-	cases := []struct {
-		pat, want string
-	}{
-		{`%Strasse%`, `Strasse`},
-		{`%a%b%`, `a.*b`},
-		{`abc`, `^abc$`},
-		{`ab%`, `^ab`},
-		{`%ab`, `ab$`},
-		{`a_c%`, `^a.c`},
-		{`%100\%%`, `100%`},
-		{`%a.b%`, `a\.b`},
-	}
-	for _, c := range cases {
-		p, err := CompileLike(c.pat, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := p.ToRegex(); got != c.want {
-			t.Errorf("ToRegex(%q) = %q, want %q", c.pat, got, c.want)
-		}
-	}
-}
-
 // likeRef is an exponential but obviously-correct LIKE matcher used as the
 // property-test oracle.
 func likeRef(pat, s string, fold bool) bool {

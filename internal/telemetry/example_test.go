@@ -89,13 +89,13 @@ func TestHybridQueryTrace(t *testing.T) {
 		t.Errorf("root sim %v != simulated response %v", res.Trace.Sim(), res.Total())
 	}
 	qpi := res.Trace.Find("qpi-transfer")
-	if bytes, _ := qpi.Attr("bytes"); bytes <= 0 {
+	if bytes := qpi.Attrs()["bytes"]; bytes <= 0 {
 		t.Errorf("qpi-transfer moved %d bytes, want > 0", bytes)
 	}
 	if qpi.Sim() <= 0 {
 		t.Error("qpi-transfer has no simulated duration")
 	}
-	if rows, _ := res.Trace.Find("cpu-post-process").Attr("rows"); rows != int64(hits) {
+	if rows := res.Trace.Find("cpu-post-process").Attrs()["rows"]; rows != int64(hits) {
 		t.Errorf("post-processed %d rows, want the %d pre-filter hits", rows, hits)
 	}
 

@@ -65,22 +65,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// ParseSnapshot decodes a snapshot previously produced by WriteJSON —
-// the read side of the exporter round-trip.
-func ParseSnapshot(data []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("telemetry: parse snapshot: %w", err)
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]int64)
-	}
-	return s, nil
-}
-
 // sortedKeys returns the keys of a metric map in lexicographic order — the
 // single ordering every text exporter uses, so repeated exports of the same
 // state are byte-identical.

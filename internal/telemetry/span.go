@@ -107,19 +107,7 @@ func (s *Span) SetAttr(name string, v int64) {
 	s.mu.Unlock()
 }
 
-// Attr returns a named attribute (0, false when absent).
-func (s *Span) Attr(name string) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.attrs[name]
-	return v, ok
-}
-
-// Attrs returns a copy of the span's attributes (nil when none) — the
-// exporter-facing view; SetAttr/Attr remain the per-key accessors.
+// Attrs returns a copy of the span's attributes (nil when none).
 func (s *Span) Attrs() map[string]int64 {
 	if s == nil {
 		return nil

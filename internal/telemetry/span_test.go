@@ -54,7 +54,7 @@ func TestSpanClocks(t *testing.T) {
 		t.Errorf("sim = %v, want 5µs", s.Sim())
 	}
 	s.SetAttr("rows", 42)
-	if v, ok := s.Attr("rows"); !ok || v != 42 {
+	if v, ok := s.Attrs()["rows"]; !ok || v != 42 {
 		t.Errorf("attr = %d,%t", v, ok)
 	}
 }

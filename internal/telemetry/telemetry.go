@@ -252,13 +252,3 @@ func (r *Registry) AttachGauge(name string, g *Gauge) {
 	defer r.mu.Unlock()
 	r.gauges[name] = g
 }
-
-// AttachHistogram publishes a detached histogram under the given name.
-func (r *Registry) AttachHistogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hists[name] = h
-}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -103,9 +104,9 @@ func TestExporterRoundTrip(t *testing.T) {
 	if err := reg.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	parsed, err := ParseSnapshot(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ParseSnapshot: %v", err)
+	var parsed Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
 	}
 	if !reflect.DeepEqual(parsed, reg.Snapshot()) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", parsed, reg.Snapshot())

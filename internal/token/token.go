@@ -139,18 +139,6 @@ func (p *Program) NumChars() int {
 	return c
 }
 
-// MaxTokenLen returns the longest matcher chain, which bounds the shift
-// register depth.
-func (p *Program) MaxTokenLen() int {
-	m := 0
-	for i := range p.Tokens {
-		if l := p.Tokens[i].Len(); l > m {
-			m = l
-		}
-	}
-	return m
-}
-
 // Compile errors.
 var (
 	// ErrMatchesEmpty rejects patterns that accept the empty string: the

@@ -316,13 +316,6 @@ func TestOracleEquivalenceAnchoredProperty(t *testing.T) {
 	}
 }
 
-func TestMaxTokenLen(t *testing.T) {
-	p := compile(t, `(Strasse|Str\.).*(8[0-9]{4})`, Options{})
-	if got := p.MaxTokenLen(); got != 7 {
-		t.Errorf("MaxTokenLen = %d, want 7 (Strasse)", got)
-	}
-}
-
 func TestDesugarRepeat(t *testing.T) {
 	p := compile(t, `a{3}`, Options{})
 	// One token of 3 chained matchers.
